@@ -9,7 +9,7 @@ computes both representations, and decides and quantifies primitivity on
 each side, with explicit witnesses for every negative verdict.
 """
 
-from .channel import (FixedPoint, HolevoForm, SpectrumComparison, apply,
+from .channel import (FixedPoint, HolevoForm, SpectrumComparison,
                       apply_linear, choi, choi_pair_sum,
                       compare_nonzero_spectrum, depolarizing, factorization,
                       fixed_point, holevo_from_rank_one_kraus, iterated_form,
@@ -52,7 +52,7 @@ __all__ = [
     "NotPOVM", "NotPSD", "NotStochastic", "PrimitivityVerdict",
     "SpectrumComparison", "StationarySolveFailure", "StrictPositivityResult",
     "SubsetCapExceeded", "Tolerances", "TracePreservationViolation",
-    "ValidationError", "ZeroEffect", "all_passed", "apply", "apply_linear",
+    "ValidationError", "ZeroEffect", "all_passed", "apply_linear",
     "channel_primitivity_index", "choi", "choi_pair_sum",
     "compare_nonzero_spectrum", "depolarizing", "eig_general",
     "eig_hermitian", "emit_channel_document", "factorization", "fixed_point",

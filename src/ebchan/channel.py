@@ -14,6 +14,7 @@ and its stochastic matrix.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,8 @@ class HolevoForm:
     """Validated channel data: system dimension plus matched effect/state lists.
 
     Construct through :func:`make_holevo_form`; the fields are read-only
-    arrays and every operation on the form is pure.
+    arrays and every operation on the form is pure. Derived quantities that
+    several analyses share are cached on the instance.
     """
 
     n: int
@@ -53,6 +55,11 @@ class HolevoForm:
 
     def pairs(self):
         return list(zip(self.effects, self.states))
+
+    @functools.cached_property
+    def _action_range(self):
+        """(Q, Q* K) for the natural rep K, computed once per form; see ``_range_basis``."""
+        return _range_basis(natural_rep(self), self.r)
 
 
 def _freeze(arr):
@@ -133,14 +140,10 @@ def apply_linear(form: HolevoForm, x):
     if x.shape[0] != form.n:
         raise DimensionMismatch(f"operand must be {form.n}x{form.n}, got {x.shape}")
     out = np.zeros((form.n, form.n), dtype=np.complex128)
+    xt = x.T
     for f, r in zip(form.effects, form.states):
-        out += np.trace(f @ x) * r
+        out += np.sum(f * xt) * r  # tr(F_k X) in O(n^2)
     return out
-
-
-def apply(form: HolevoForm, rho):
-    """Channel action sum_k tr(F_k rho) R_k on a density matrix."""
-    return apply_linear(form, rho)
 
 
 def natural_rep(form: HolevoForm):
@@ -161,16 +164,13 @@ def natural_rep(form: HolevoForm):
 
 
 def choi(form: HolevoForm):
-    """Choi matrix: block (i, j) of the n^2 x n^2 result is the image of E_ij."""
+    """Choi matrix: block (i, j) of the n^2 x n^2 result is the image of E_ij.
+
+    Realigns the natural rep, whose column i * n + j is that image vectorized:
+    ``choi[i*n + a, j*n + b] == natural_rep[a*n + b, i*n + j]``.
+    """
     n = form.n
-    j_mat = np.zeros((n * n, n * n), dtype=np.complex128)
-    unit = np.zeros((n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            unit[i, j] = 1.0
-            j_mat[i * n:(i + 1) * n, j * n:(j + 1) * n] = apply_linear(form, unit)
-            unit[i, j] = 0.0
-    return j_mat
+    return natural_rep(form).reshape(n, n, n, n).transpose(2, 0, 3, 1).reshape(n * n, n * n)
 
 
 def choi_pair_sum(form: HolevoForm):
@@ -260,6 +260,50 @@ class SpectrumComparison:
 
 _ASSIGNMENT_CAP = 32
 
+# The natural rep K = A B has rank <= r, so a Gaussian sketch K @ Omega a few
+# columns wider than r spans its range up to round-off (Halko, Martinsson &
+# Tropp, "Finding structure with randomness", SIAM Review 53, 2011). The
+# residual bound is relative to max(1, max |K|) and sits far below the default
+# zero_eig_tol, so no eigenvalue or singular value that counts is lost.
+_SKETCH_OVERSAMPLE = 10
+_SKETCH_SEED = 0
+_RANGE_RESIDUAL = 1e-12
+_RESIDUAL_BLOCK = 64
+
+
+def _range_residual(rep, q, qh_rep):
+    """max |rep - Q (Q* rep)| and max |rep|, one block of columns at a time."""
+    worst, top = 0.0, 0.0
+    for start in range(0, rep.shape[1], _RESIDUAL_BLOCK):
+        cols = slice(start, start + _RESIDUAL_BLOCK)
+        block = rep[:, cols]
+        worst = max(worst, float(np.max(np.abs(block - q @ qh_rep[:, cols]))))
+        top = max(top, float(np.max(np.abs(block))))
+    return worst, top
+
+
+def _range_basis(rep, r: int):
+    """Orthonormal basis Q of the range of a square ``rep``, and Q* rep.
+
+    Q comes from the QR factorization of the sketch rep @ Omega, with Omega
+    complex Gaussian (fixed seed) and r + _SKETCH_OVERSAMPLE columns wide.
+    It is accepted once max |rep - Q (Q* rep)| <= _RANGE_RESIDUAL *
+    max(1, max |rep|); otherwise the width doubles. From width dim(rep) on,
+    Q is the identity and the result is exact.
+    """
+    dim = rep.shape[0]
+    rng = np.random.default_rng(_SKETCH_SEED)
+    width = r + _SKETCH_OVERSAMPLE
+    while width < dim:
+        omega = rng.standard_normal((dim, width)) + 1j * rng.standard_normal((dim, width))
+        q, _ = np.linalg.qr(rep @ omega)
+        qh_rep = q.conj().T @ rep
+        worst, top = _range_residual(rep, q, qh_rep)
+        if worst <= _RANGE_RESIDUAL * max(1.0, top):
+            return q, qh_rep
+        width *= 2
+    return np.eye(dim, dtype=np.complex128), rep
+
 
 def _pair_distance(a, b):
     """Max distance under a minimal-cost pairing of two complex multisets."""
@@ -287,10 +331,19 @@ def compare_nonzero_spectrum(form: HolevoForm,
                              tol: Tolerances = DEFAULT_TOL) -> SpectrumComparison:
     """Check that channel and stochastic matrix share their nonzero spectrum.
 
-    Eigenvalues with modulus below ``zero_eig_tol`` are discarded on both
-    sides; the remainders are paired by minimal-distance assignment.
+    The channel side never runs a dense eig of the n^2 x n^2 natural rep K.
+    K has rank <= r, so its nonzero eigenvalues are those of the k x k
+    compression (Q* K) Q, where Q is an orthonormal basis of the range of K
+    found by a residual-checked random sketch (``_range_basis``; k = r + 10
+    unless the check widens it, or n^2 when that is smaller). Building K and
+    sketching it cost O(r n^4), against O(n^6) for the dense eig. The
+    stochastic side is the r x r eig of S, so the two routes stay
+    independent. Eigenvalues with modulus
+    below ``zero_eig_tol`` are discarded on both sides; the remainders are
+    paired by minimal-distance assignment.
     """
-    lam_chan = eig_general(natural_rep(form))
+    q, qh_rep = form._action_range
+    lam_chan = eig_general(qh_rep @ q)
     lam_mat = eig_general(stochastic_rep(form, tol)).astype(np.complex128)
     chan_nz = lam_chan[np.abs(lam_chan) >= tol.zero_eig_tol]
     mat_nz = lam_mat[np.abs(lam_mat) >= tol.zero_eig_tol]

@@ -27,7 +27,8 @@ from .channel import (FixedPoint, HolevoForm, SpectrumComparison, apply_linear,
                       holevo_from_rank_one_kraus, map_to_diagonal,
                       qc_from_stochastic, stochastic_rep)
 from .checks import run_channel_checks
-from .errors import DocumentSyntaxError, EbchanError
+from .errors import (ConsistencyError, ConvergenceFailure, EbchanError,
+                     StationarySolveFailure)
 from .linalg import DEFAULT_TOL, Tolerances
 from .primitivity import (ChannelPrimitivityReport, HolevoRankBounds,
                           channel_primitivity_index, holevo_rank_bounds)
@@ -41,6 +42,10 @@ VECTOR_TRACK_TOL = 1e-10
 RESIDUAL_TOL = 1e-10
 
 BUILD_KINDS = ("depolarizing", "diag", "qc", "from-kraus")
+
+# library errors that mean a computation or cross-check failed (exit 1);
+# every other library error is a fault of the input (exit 2)
+INTERNAL_FAILURES = (ConsistencyError, StationarySolveFailure, ConvergenceFailure)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -407,13 +412,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DocumentSyntaxError as exc:
+    except INTERNAL_FAILURES as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EbchanError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        return 1
+    except (EbchanError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,11 +11,13 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DimensionMismatch, NotHermitian, NotPSD
+from .errors import (ConvergenceFailure, DimensionMismatch, NotHermitian, NotPSD,
+                     ValidationError)
 
 
 @dataclass(frozen=True)
@@ -35,8 +37,9 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("psd_tol", "zero_eig_tol", "match_tol", "stochastic_tol"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValidationError(f"{name} must be finite and nonnegative, got {value}")
 
 
 DEFAULT_TOL = Tolerances()
@@ -50,7 +53,7 @@ def as_matrix(m, name="matrix"):
     if arr.shape[0] == 0 or arr.shape[1] == 0:
         raise DimensionMismatch(f"{name} must be nonempty, got shape {arr.shape}")
     if not np.all(np.isfinite(arr.view(np.float64))):
-        raise ValueError(f"{name} contains NaN or infinite entries")
+        raise ValidationError(f"{name} contains NaN or infinite entries")
     arr.setflags(write=False)
     return arr
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import HolevoForm, iterated_form, natural_rep, stochastic_rep
+from .channel import HolevoForm, iterated_form, stochastic_rep
 from .errors import ConsistencyError, SubsetCapExceeded
 from .linalg import DEFAULT_TOL, Tolerances, is_pd, kernel_dim_psd, kernel_psd
 from .stochastic import primitivity_index, wielandt_bound
@@ -219,7 +219,18 @@ class HolevoRankBounds:
 
 
 def holevo_rank_bounds(form: HolevoForm, tol: Tolerances = DEFAULT_TOL) -> HolevoRankBounds:
-    sigma = np.linalg.svd(natural_rep(form), compute_uv=False)
+    """Rank of the natural rep K, and the pair-count bounds built on it.
+
+    The rank is counted from the singular values of the k x n^2 matrix
+    Q* K, where Q is the residual-checked basis of the range of K that
+    ``compare_nonzero_spectrum`` uses too (k = r + 10 unless the residual
+    check widens it, or n^2 when that is smaller): Q Q* K equals K up to
+    round-off, so both have the same singular values. That costs O(r n^4),
+    against O(n^6) for an SVD of K.
+    Singular values above ``zero_eig_tol * max(1, sigma_max)`` count.
+    """
+    _, qh_rep = form._action_range
+    sigma = np.linalg.svd(qh_rep, compute_uv=False)
     lower = int(np.count_nonzero(sigma > tol.zero_eig_tol * max(1.0, float(sigma[0]))))
     r = form.r
     return HolevoRankBounds(lower=lower, upper=r, q_upper_from_rank=r * r - 2 * r + 3)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ColumnSumViolation, DimensionMismatch, NegativeEntry,
-                     StationarySolveFailure)
+                     StationarySolveFailure, ValidationError)
 from .linalg import DEFAULT_TOL, Tolerances
 
 
@@ -53,7 +53,7 @@ def make_stochastic(entries, tol: Tolerances = DEFAULT_TOL, *, r: int | None = N
     if r is not None and arr.shape[0] != r:
         raise DimensionMismatch(f"matrix is {arr.shape[0]} x {arr.shape[0]}, expected r = {r}")
     if not np.all(np.isfinite(arr)):
-        raise ValueError("matrix contains NaN or infinite entries")
+        raise ValidationError("matrix contains NaN or infinite entries")
     low = float(arr.min())
     if low < -tol.stochastic_tol:
         i, j = np.unravel_index(int(np.argmin(arr)), arr.shape)

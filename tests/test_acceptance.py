@@ -8,7 +8,7 @@ guarantee is stated with.
 import numpy as np
 import pytest
 
-from ebchan.channel import (apply, depolarizing, factorization,
+from ebchan.channel import (apply_linear, depolarizing, factorization,
                             holevo_from_rank_one_kraus, make_holevo_form,
                             map_to_diagonal, natural_rep, qc_from_stochastic,
                             compare_nonzero_spectrum, fixed_point,
@@ -79,7 +79,7 @@ def test_projective_flip_example(acceptance):
     worst = 0.0
     for _ in range(100):
         rho = random_density(rng, 2)
-        worst = max(worst, float(np.max(np.abs(apply(form, apply(form, rho)) - target))))
+        worst = max(worst, float(np.max(np.abs(apply_linear(form, apply_linear(form, rho)) - target))))
     if worst > 1e-10:
         failures.append(f"second iterate misses the flat state by {worst:.3e}")
     _finish(acceptance, "01 projective flip channel", failures)
@@ -247,8 +247,8 @@ def test_named_builders(acceptance):
     worst = 0.0
     for _ in range(25):
         rho = random_density(rng, n)
-        worst = max(worst, float(np.max(np.abs(apply(from_kraus, rho)
-                                               - apply(reference, rho)))))
+        worst = max(worst, float(np.max(np.abs(apply_linear(from_kraus, rho)
+                                               - apply_linear(reference, rho)))))
     if worst > 1e-10:
         failures.append(f"rank-one operator import misses flattening by {worst:.3e}")
     _finish(acceptance, "09 named builders behave as specified", failures)
@@ -269,7 +269,7 @@ def test_negative_verdicts_carry_sound_witnesses(acceptance, suite_100):
             sigma = np.outer(res.state, res.state.conj())
             out = sigma
             for _ in range(m):
-                out = apply(form, out)
+                out = apply_linear(form, out)
             leak = abs(float(np.real(res.direction.conj() @ out @ res.direction)))
             if leak > 1e-8:
                 failures.append(f"channel {i} at m={m}: witness element {leak:.3e}")

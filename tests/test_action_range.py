@@ -1,0 +1,127 @@
+"""The range route for the channel's spectrum and rank against the dense route.
+
+``compare_nonzero_spectrum`` and ``holevo_rank_bounds`` read the natural rep
+K through an orthonormal basis of its range. The reference here is the dense
+computation they replaced: a general eig of K and an SVD of K.
+"""
+
+import numpy as np
+import pytest
+
+from ebchan.channel import (_pair_distance, _range_basis, _range_residual,
+                            compare_nonzero_spectrum, depolarizing,
+                            make_holevo_form, map_to_diagonal, natural_rep)
+from ebchan.linalg import DEFAULT_TOL, eig_general
+from ebchan.primitivity import holevo_rank_bounds
+from ebchan.sampling import random_channel, random_holevo_form
+
+PAIR_TOL = 1e-10
+
+
+def dense_reference(form, tol=DEFAULT_TOL):
+    """Nonzero eigenvalues of K from a dense eig, and the rank of K from a dense SVD."""
+    rep = natural_rep(form)
+    lam = eig_general(rep)
+    sigma = np.linalg.svd(rep, compute_uv=False)
+    rank = int(np.count_nonzero(sigma > tol.zero_eig_tol * max(1.0, float(sigma[0]))))
+    return lam[np.abs(lam) >= tol.zero_eig_tol], rank
+
+
+def assert_matches_dense(form):
+    dense_nz, dense_rank = dense_reference(form)
+    spec = compare_nonzero_spectrum(form)
+    assert spec.channel_nonzero.size == dense_nz.size
+    assert _pair_distance(spec.channel_nonzero, dense_nz) <= PAIR_TOL
+    assert holevo_rank_bounds(form).lower == dense_rank
+    return spec
+
+
+def duplicated_pair_form(rng, n, r):
+    """Form whose first pair is split in two equal halves: r + 1 pairs, rank <= r."""
+    base = random_holevo_form(rng, n, r)
+    (f, rho), rest = base.pairs()[0], base.pairs()[1:]
+    return make_holevo_form(n, [(f / 2, rho), (f / 2, rho)] + rest)
+
+
+def shared_state_form(rng, n, r):
+    """Form whose first two pairs steer to the same state: rank <= r - 1."""
+    base = random_holevo_form(rng, n, r)
+    pairs = base.pairs()
+    pairs[1] = (pairs[1][0], pairs[0][1])
+    return make_holevo_form(n, pairs)
+
+
+def projective_flip(n):
+    """Measure in the Fourier basis, prepare the computational basis state."""
+    fourier = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) / np.sqrt(n)
+    pairs = []
+    for k in range(n):
+        f = np.outer(fourier[:, k], fourier[:, k].conj())
+        proj = np.zeros((n, n), dtype=complex)
+        proj[k, k] = 1.0
+        pairs.append((f, proj))
+    return make_holevo_form(n, pairs)
+
+
+def test_random_channels_match_dense():
+    rng = np.random.default_rng(2011)
+    sketched = 0
+    for _ in range(240):
+        n = int(rng.integers(4, 7))
+        r = int(rng.integers(1, n + 2))
+        form = random_channel(rng, n, r)
+        assert_matches_dense(form)
+        q, _ = form._action_range
+        sketched += q.shape[1] < n * n
+    assert sketched >= 200
+
+
+@pytest.mark.parametrize("build", [duplicated_pair_form, shared_state_form])
+def test_rank_deficient_forms_match_dense(build):
+    rng = np.random.default_rng(53)
+    for _ in range(40):
+        n = int(rng.integers(4, 7))
+        r = int(rng.integers(2, n + 2))
+        form = build(rng, n, r)
+        spec = assert_matches_dense(form)
+        assert holevo_rank_bounds(form).lower < form.r
+        assert spec.matched
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_named_channels_match_dense(n):
+    for form, rank in ((map_to_diagonal(n), n), (depolarizing(n), 1), (projective_flip(n), n)):
+        spec = assert_matches_dense(form)
+        assert spec.matched
+        assert holevo_rank_bounds(form).lower == rank
+
+
+def test_range_is_computed_once_per_form():
+    form = random_holevo_form(np.random.default_rng(7), 5, 3)
+    first = form._action_range
+    compare_nonzero_spectrum(form)
+    holevo_rank_bounds(form)
+    assert form._action_range is first
+
+
+def test_width_doubles_until_the_residual_check_passes():
+    rng = np.random.default_rng(5)
+    dim = 36
+    # rank 15 needs more than the first width 2 + 10 = 12; 24 columns suffice
+    g = rng.standard_normal((dim, 15)) + 1j * rng.standard_normal((dim, 15))
+    h = rng.standard_normal((15, dim)) + 1j * rng.standard_normal((15, dim))
+    low_rank = g @ h
+    q, qh_rep = _range_basis(low_rank, 2)
+    assert q.shape == (dim, 24)
+    assert np.allclose(q.conj().T @ q, np.eye(24), atol=1e-12)
+    worst, top = _range_residual(low_rank, q, qh_rep)
+    assert worst <= 1e-12 * top
+
+
+def test_full_rank_matrix_falls_back_to_the_exact_basis():
+    rng = np.random.default_rng(6)
+    dim = 36
+    full = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, qh_rep = _range_basis(full, 1)  # widths 11, 22 fail; 44 >= 36 is exact
+    assert np.array_equal(q, np.eye(dim))
+    assert qh_rep is full

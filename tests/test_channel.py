@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ebchan.channel import (apply, apply_linear, choi, choi_pair_sum,
+from ebchan.channel import (apply_linear, choi, choi_pair_sum,
                             compare_nonzero_spectrum, depolarizing,
                             factorization, fixed_point,
                             holevo_from_rank_one_kraus, iterated_form,
@@ -74,24 +74,24 @@ def test_apply_depolarizing():
     form = depolarizing(2)
     for _ in range(5):
         rho = random_density(rng, 2)
-        np.testing.assert_allclose(apply(form, rho), IDENT / 2, atol=1e-12)
+        np.testing.assert_allclose(apply_linear(form, rho), IDENT / 2, atol=1e-12)
 
 
 def test_apply_example_one_flips_minus():
-    out = apply(example_one(), MINUS)
+    out = apply_linear(example_one(), MINUS)
     np.testing.assert_allclose(out, E11, atol=1e-12)
 
 
 def test_apply_map_to_diagonal():
     rng = np.random.default_rng(21)
     rho = random_density(rng, 3)
-    out = apply(map_to_diagonal(3), rho)
+    out = apply_linear(map_to_diagonal(3), rho)
     np.testing.assert_allclose(out, np.diag(np.diag(rho)), atol=1e-12)
 
 
 def test_apply_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        apply(example_one(), np.eye(3) / 3)
+        apply_linear(example_one(), np.eye(3) / 3)
 
 
 # --- representations ---
@@ -196,8 +196,8 @@ def test_iterated_form_matches_repeated_apply():
         rho = random_density(rng, 2)
         composed = rho
         for _ in range(3):
-            composed = apply(form, composed)
-        assert np.max(np.abs(apply(cubed, rho) - composed)) <= 1e-10
+            composed = apply_linear(form, composed)
+        assert np.max(np.abs(apply_linear(cubed, rho) - composed)) <= 1e-10
 
 
 def test_iterated_form_povm_closure():
@@ -299,7 +299,7 @@ def test_kraus_action_matches_conjugation():
     for _ in range(5):
         rho = random_density(rng, n)
         direct = sum(v @ rho @ v.conj().T for v in ops)
-        assert np.max(np.abs(apply(form, rho) - direct)) <= 1e-10
+        assert np.max(np.abs(apply_linear(form, rho) - direct)) <= 1e-10
 
 
 def test_kraus_rejects_rank_two():

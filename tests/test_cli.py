@@ -6,6 +6,7 @@ import pytest
 from ebchan.channel import (depolarizing, make_holevo_form, map_to_diagonal,
                             stochastic_rep)
 from ebchan.cli import main
+from ebchan.errors import ConsistencyError
 from ebchan.serialization import (emit_channel_document, matrix_to_literal,
                                   parse_channel_document, state_to_file,
                                   stochastic_to_file)
@@ -231,3 +232,36 @@ def test_verify_requires_target(capsys):
 
 def test_verify_missing_file(tmp_path, capsys):
     assert main(["verify", str(tmp_path / "absent.json")]) == 2
+
+
+@pytest.fixture
+def depolarizing_file(tmp_path):
+    path = tmp_path / "depol.json"
+    assert main(["build", "depolarizing", "--n", "2", "-o", str(path)]) == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "-1"])
+def test_analyze_rejects_bad_tolerance(depolarizing_file, value, capsys):
+    assert main(["analyze", depolarizing_file, "--psd-tol", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "psd_tol must be finite and nonnegative" in captured.err
+
+
+def test_internal_consistency_failure_exits_one(example_one_file, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise ConsistencyError("positivity holds at m = 2 but not at m = 3")
+
+    monkeypatch.setattr("ebchan.cli.channel_primitivity_index", fail)
+    assert main(["analyze", example_one_file]) == 1
+    assert "error: positivity holds" in capsys.readouterr().err
+
+
+def test_analyze_rejects_nan_entry(tmp_path, capsys):
+    doc = json.loads(emit_channel_document(depolarizing(2)))
+    doc["pairs"][0]["F"][0][0] = [float("nan"), 0.0]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path)]) == 2
+    assert "NaN or infinite" in capsys.readouterr().err

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ebchan.channel import (apply, depolarizing, make_holevo_form,
+from ebchan.channel import (apply_linear, depolarizing, make_holevo_form,
                             map_to_diagonal, stochastic_rep)
 from ebchan.errors import SubsetCapExceeded
 from ebchan.primitivity import (channel_primitivity_index, holevo_rank_bounds,
@@ -60,7 +60,7 @@ def test_false_verdict_carries_sound_witness():
     sigma = np.outer(psi, psi.conj())
     out = sigma
     for _ in range(res.m):
-        out = apply(form, out)
+        out = apply_linear(form, out)
     leak = float(np.real(phi.conj() @ out @ phi))
     assert abs(leak) <= 1e-8
     assert abs(res.value) <= 1e-8
@@ -73,7 +73,7 @@ def test_true_verdict_positive_on_random_pure_states():
     assert squared.holds
     for _ in range(500):
         psi = random_pure_state(rng, 2)
-        out = apply(form, apply(form, np.outer(psi, psi.conj())))
+        out = apply_linear(form, apply_linear(form, np.outer(psi, psi.conj())))
         assert np.linalg.eigvalsh(out)[0] > 0.0
 
 
