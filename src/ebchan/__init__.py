@@ -37,7 +37,7 @@ from .serialization import (emit_channel_document, form_to_document,
                             parse_channel_document, parse_kraus_file,
                             parse_state_file, parse_stochastic_file,
                             state_to_file, stochastic_to_file)
-from .stochastic import (PrimitivityVerdict, is_primitive, make_stochastic,
+from .stochastic import (PrimitivityVerdict, make_stochastic,
                          primitivity_index, stationary_distribution,
                          wielandt_bound)
 
@@ -57,7 +57,7 @@ __all__ = [
     "compare_nonzero_spectrum", "depolarizing", "eig_general",
     "eig_hermitian", "emit_channel_document", "factorization", "fixed_point",
     "form_to_document", "holevo_from_rank_one_kraus", "holevo_rank_bounds",
-    "is_pd", "is_primitive", "is_primitive_channel", "is_psd",
+    "is_pd", "is_primitive_channel", "is_psd",
     "iterated_form", "kernel_psd", "make_holevo_form", "make_stochastic",
     "map_to_diagonal", "natural_rep", "parse_channel_document",
     "parse_kraus_file", "parse_state_file", "parse_stochastic_file",

@@ -18,7 +18,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .errors import (
     ColumnSumViolation,
@@ -250,15 +249,13 @@ def fixed_point(form: HolevoForm, tol: Tolerances = DEFAULT_TOL) -> FixedPoint:
 
 @dataclass(frozen=True)
 class SpectrumComparison:
-    """Nonzero eigenvalues of the channel and of its stochastic matrix, paired up."""
+    """Nonzero spectra of channel and S; ``max_pair_distance`` is their bottleneck distance."""
 
     channel_nonzero: np.ndarray
     matrix_nonzero: np.ndarray
     max_pair_distance: float
     matched: bool
 
-
-_ASSIGNMENT_CAP = 32
 
 # The natural rep K = A B has rank <= r, so a Gaussian sketch K @ Omega a few
 # columns wider than r spans its range up to round-off (Halko, Martinsson &
@@ -305,26 +302,55 @@ def _range_basis(rep, r: int):
     return np.eye(dim, dtype=np.complex128), rep
 
 
+def _pairs_within(allowed):
+    """Whether each row of the boolean matrix ``allowed`` gets its own column.
+
+    Kuhn's augmenting paths, searched breadth-first, so no recursion deepens with size.
+    """
+    adjacent = [np.flatnonzero(row).tolist() for row in allowed]
+    owner, held = {}, {}  # row holding each column, column held by each row
+    for root in range(len(adjacent)):
+        via, queue = {}, [root]  # via: row that reached each column
+        for row in queue:  # the queue grows while it is walked
+            fresh = [col for col in adjacent[row] if col not in via]
+            via.update(dict.fromkeys(fresh, row))
+            free = next((col for col in fresh if col not in owner), None)
+            if free is not None:
+                break
+            queue.extend(owner[col] for col in fresh)
+        else:
+            return False
+        while free is not None:  # flip the path back to the root
+            row = via[free]
+            owner[free], held[row], free = row, free, held.get(row)
+    return True
+
+
 def _pair_distance(a, b):
-    """Max distance under a minimal-cost pairing of two complex multisets."""
-    if a.size == 0 and b.size == 0:
-        return 0.0
+    """Bottleneck distance between two complex multisets.
+
+    The least d such that each element of the smaller multiset pairs with its
+    own element of the other within d; infinite when exactly one is empty.
+    The thresholds are the sorted distinct |a_i - b_j|. The search starts at
+    the largest nearest-partner distance of the smaller side, which no pairing
+    beats and matched spectra attain, and bisects from there (Gabow & Tarjan,
+    "Algorithms for two bottleneck optimization problems", J. Algorithms 1988).
+    """
     if a.size == 0 or b.size == 0:
-        return float("inf")
+        return 0.0 if a.size == b.size else float("inf")
+    if a.size > b.size:
+        a, b = b, a
     cost = np.abs(a[:, None] - b[None, :])
-    if max(a.size, b.size) <= _ASSIGNMENT_CAP:
-        rows, cols = scipy.optimize.linear_sum_assignment(cost)
-        return float(cost[rows, cols].max())
-    # greedy nearest-neighbour fallback for oversized spectra
-    order = np.lexsort((-a.imag, -a.real))
-    used = np.zeros(b.size, dtype=bool)
-    worst = 0.0
-    for i in order[: min(a.size, b.size)]:
-        row = np.where(used, np.inf, cost[i])
-        j = int(np.argmin(row))
-        used[j] = True
-        worst = max(worst, float(row[j]))
-    return worst
+    levels = np.unique(cost)
+    mid = lo = int(np.searchsorted(levels, cost.min(axis=1).max()))
+    hi = levels.size - 1  # every row reaches every column there
+    while lo < hi:
+        if _pairs_within(cost <= levels[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+        mid = (lo + hi) // 2
+    return float(levels[hi])
 
 
 def compare_nonzero_spectrum(form: HolevoForm,
@@ -339,8 +365,9 @@ def compare_nonzero_spectrum(form: HolevoForm,
     sketching it cost O(r n^4), against O(n^6) for the dense eig. The
     stochastic side is the r x r eig of S, so the two routes stay
     independent. Eigenvalues with modulus
-    below ``zero_eig_tol`` are discarded on both sides; the remainders are
-    paired by minimal-distance assignment.
+    below ``zero_eig_tol`` are discarded on both sides; ``max_pair_distance``
+    is the bottleneck distance of the remainders, the least d under which
+    they pair up one to one (``_pair_distance``).
     """
     q, qh_rep = form._action_range
     lam_chan = eig_general(qh_rep @ q)

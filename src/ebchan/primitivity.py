@@ -151,15 +151,13 @@ class ChannelPrimitivityReport:
 
 
 def channel_primitivity_index(form: HolevoForm, tol: Tolerances = DEFAULT_TOL,
-                              subset_cap: int = SUBSET_CAP,
-                              full_search: bool = False) -> ChannelPrimitivityReport:
+                              subset_cap: int = SUBSET_CAP) -> ChannelPrimitivityReport:
     """Exact channel primitivity index via the subset test.
 
-    The search normally runs over the guaranteed window
-    [max(1, p-1), p+1]; ``full_search`` widens it to start at 1, which is
-    how the window guarantee itself gets cross-checked in the verification
-    suite. Positivity once reached must persist, so the search re-tests at
-    q + 1 whenever that lies inside the window and refuses to return an
+    The search runs over the guaranteed window [max(1, p-1), p+1];
+    ``sweep_positive_iterate`` is the definition-level oracle that scans
+    from m = 1. Positivity once reached must persist, so the search re-tests
+    at q + 1 whenever that lies inside the window and refuses to return an
     answer contradicting monotonicity.
     """
     s = stochastic_rep(form, tol)
@@ -182,15 +180,14 @@ def channel_primitivity_index(form: HolevoForm, tol: Tolerances = DEFAULT_TOL,
             p_index=p, q_index=None, bound_abs_diff_ok=None,
             holevo_rank_bound_ok=None, q_method="bounds-only", q_window=window)
 
-    lo = 1 if full_search else window[0]
     q = None
-    for m in range(lo, window[1] + 1):
+    for m in range(window[0], window[1] + 1):
         if strictly_positive_at(form, m, tol, subset_cap).holds:
             q = m
             break
     if q is None:
         raise ConsistencyError(
-            f"primitive channel shows no positive iterate in [{lo}, {window[1]}]; "
+            f"primitive channel shows no positive iterate in [{window[0]}, {window[1]}]; "
             f"p = {p}")
     if q < window[1] and not strictly_positive_at(form, q + 1, tol, subset_cap).holds:
         raise ConsistencyError(f"positivity holds at m = {q} but not at m = {q + 1}")

@@ -68,46 +68,16 @@ def make_stochastic(entries, tol: Tolerances = DEFAULT_TOL, *, r: int | None = N
     return arr
 
 
-def _pattern(s, tol: Tolerances):
-    return (np.asarray(s, dtype=np.float64) > tol.stochastic_tol).astype(np.uint8)
-
-
-def _bool_matmul(a, b):
-    # products are bounded by r before re-clamping, so uint64 cannot overflow
-    return (a.astype(np.uint64) @ b.astype(np.uint64) > 0).astype(np.uint8)
-
-
-def _bool_power(p, m):
-    result = np.eye(p.shape[0], dtype=np.uint8)
-    base = p
-    while m > 0:
-        if m & 1:
-            result = _bool_matmul(result, base)
-        base = _bool_matmul(base, base)
-        m >>= 1
-    return result
-
-
-def is_primitive(s, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True iff some power of the nonnegative matrix is entrywise positive.
-
-    Checking the zero pattern at the Wielandt bound suffices: a primitive
-    matrix is already positive there, and positivity at any power implies
-    primitivity by definition.
-    """
-    p = _pattern(s, tol)
-    return bool(_bool_power(p, wielandt_bound(p.shape[0])).all())
-
-
 def primitivity_index(s, tol: Tolerances = DEFAULT_TOL) -> PrimitivityVerdict:
     """Least m with S^m entrywise positive, searched incrementally up to the bound."""
-    p = _pattern(s, tol)
+    p = (np.asarray(s, dtype=np.float64) > tol.stochastic_tol).astype(np.uint64)
     bound = wielandt_bound(p.shape[0])
     power = p
     for m in range(1, bound + 1):
         if power.all():
             return PrimitivityVerdict(primitive=True, index=m, wielandt_bound=bound)
-        power = _bool_matmul(power, p)
+        # 0/1 products are bounded by r before re-clamping, so uint64 cannot overflow
+        power = (power @ p > 0).astype(np.uint64)
     return PrimitivityVerdict(primitive=False, index=None, wielandt_bound=bound)
 
 

@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from ebchan.channel import (apply_linear, choi, choi_pair_sum,
+from ebchan.channel import (_pair_distance, apply_linear, choi, choi_pair_sum,
                             compare_nonzero_spectrum, depolarizing,
                             factorization, fixed_point,
                             holevo_from_rank_one_kraus, iterated_form,
@@ -251,6 +253,52 @@ def test_spectrum_random_forms():
         comp = compare_nonzero_spectrum(form)
         assert comp.matched
         assert comp.max_pair_distance <= 1e-6
+
+
+def brute_bottleneck(a, b):
+    """Min over injective pairings of the smaller multiset of the max distance."""
+    if a.size > b.size:
+        a, b = b, a
+    if a.size == 0:
+        return 0.0 if b.size == 0 else float("inf")
+    return min(max(abs(x - b[j]) for x, j in zip(a, cols))
+               for cols in itertools.permutations(range(b.size), a.size))
+
+
+def test_pair_distance_matches_brute_force():
+    rng = np.random.default_rng(29)
+    grid = np.arange(-1, 2)[:, None] + 1j * np.arange(-1, 2)[None, :]
+    for size_a, size_b in itertools.product(range(7), repeat=2):
+        for trial in range(6):
+            # half the draws come from a 3 x 3 grid, so values repeat
+            pool = (grid.ravel() if trial % 2
+                    else rng.standard_normal(6) + 1j * rng.standard_normal(6))
+            a, b = rng.choice(pool, size_a), rng.choice(pool, size_b)
+            assert _pair_distance(a, b) == pytest.approx(brute_bottleneck(a, b), abs=1e-12)
+
+
+def test_pair_distance_is_the_bottleneck_not_the_min_sum_pairing():
+    # pairing 0-0 and 1j-1 costs less in total but has the larger max, sqrt(2)
+    assert _pair_distance(np.array([0, 1j]), np.array([0, 1 + 0j])) == 1.0
+
+
+def admits_perfect_matching(allowed, rng):
+    """Whether a square boolean pattern admits a perfect matching.
+
+    Edmonds: it does iff generic weights on the pattern give a nonsingular matrix.
+    """
+    weights = np.where(allowed, rng.uniform(1.0, 2.0, allowed.shape), 0.0)
+    return np.linalg.matrix_rank(weights) == allowed.shape[0]
+
+
+def test_pair_distance_is_exact_on_forty_points():
+    rng = np.random.default_rng(30)
+    a = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    b = a + 0.3 * (rng.standard_normal(40) + 1j * rng.standard_normal(40))
+    dist = _pair_distance(a, b)
+    cost = np.abs(a[:, None] - b[None, :])
+    assert admits_perfect_matching(cost <= dist, rng)
+    assert not admits_perfect_matching(cost < dist, rng)
 
 
 # --- builders ---

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ebchan
 from ebchan.channel import (depolarizing, make_holevo_form, map_to_diagonal,
                             stochastic_rep)
 from ebchan.cli import main
@@ -265,3 +270,14 @@ def test_analyze_rejects_nan_entry(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["analyze", str(path)]) == 2
     assert "NaN or infinite" in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only dependency; a fresh interpreter shows what importing pulls in
+    code = ("import sys, ebchan, ebchan.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(ebchan.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]"

@@ -141,8 +141,7 @@ def test_window_matches_full_search():
         if not windowed.channel_primitive:
             continue
         tested += 1
-        widened = channel_primitivity_index(form, full_search=True)
-        assert widened.q_index == windowed.q_index
+        assert sweep_positive_iterate(form)[1] == windowed.q_index
     assert tested > 0
 
 

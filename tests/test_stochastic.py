@@ -3,8 +3,8 @@ import pytest
 
 from ebchan.errors import ColumnSumViolation, DimensionMismatch, NegativeEntry
 from ebchan.sampling import random_stochastic, wielandt_matrix
-from ebchan.stochastic import (is_primitive, make_stochastic,
-                               primitivity_index, stationary_distribution,
+from ebchan.stochastic import (make_stochastic, primitivity_index,
+                               stationary_distribution,
                                wielandt_bound)
 
 DOUBLY = np.full((2, 2), 0.5)
@@ -54,9 +54,9 @@ def test_make_stochastic_result_read_only():
 
 
 def test_is_primitive_examples():
-    assert is_primitive(DOUBLY)
-    assert not is_primitive(np.eye(3))
-    assert not is_primitive(SWAP)
+    assert primitivity_index(DOUBLY).primitive
+    assert not primitivity_index(np.eye(3)).primitive
+    assert not primitivity_index(SWAP).primitive
 
 
 def test_primitivity_index_examples():
