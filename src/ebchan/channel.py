@@ -14,6 +14,14 @@ and its stochastic matrix.
 
 from __future__ import annotations
 
+__all__ = [
+    "FixedPoint", "HolevoForm", "SpectrumComparison", "apply_linear",
+    "choi", "choi_pair_sum", "compare_nonzero_spectrum", "depolarizing",
+    "factorization", "fixed_point", "holevo_from_rank_one_kraus",
+    "iterated_form", "make_holevo_form", "map_to_diagonal", "natural_rep",
+    "qc_from_stochastic", "require_density", "stochastic_rep",
+]
+
 import functools
 from dataclasses import dataclass
 
@@ -57,8 +65,11 @@ class HolevoForm:
 
     @functools.cached_property
     def _action_range(self):
-        """(Q, Q* K) for the natural rep K, computed once per form; see ``_range_basis``."""
-        return _range_basis(natural_rep(self), self.r)
+        """(Q, Q* K) for the natural rep K, computed once per form; see ``_range_basis``.
+
+        K is streamed in column blocks and never stored whole.
+        """
+        return _range_basis(self)
 
 
 def _freeze(arr):
@@ -145,20 +156,44 @@ def apply_linear(form: HolevoForm, x):
     return out
 
 
+_REP_BLOCK = 64  # columns of the natural rep per block
+
+
+def _rep_blocks(form: HolevoForm):
+    """The natural rep in blocks of ``_REP_BLOCK`` columns: yields (first column, block).
+
+    Column i * n + j is vec(channel(E_ij)), one ``apply_linear`` call per
+    matrix unit. Every block is a view of one n^2 x _REP_BLOCK buffer that
+    the next block overwrites, so a caller uses each block before taking
+    the next, and may overwrite it.
+    """
+    n = form.n
+    dim = n * n
+    buffer = np.empty((dim, min(_REP_BLOCK, dim)), dtype=np.complex128)
+    unit = np.zeros((n, n), dtype=np.complex128)
+    flat = unit.reshape(-1)  # a view: flat[i * n + j] is unit[i, j]
+    for start in range(0, dim, _REP_BLOCK):
+        block = buffer[:, :min(_REP_BLOCK, dim - start)]
+        for col in range(block.shape[1]):
+            flat[start + col] = 1.0
+            block[:, col] = apply_linear(form, unit).reshape(-1)
+            flat[start + col] = 0.0
+        yield start, block
+
+
 def natural_rep(form: HolevoForm):
     """n^2 x n^2 matrix of the channel on row-major vectorized operators.
 
     Column (i, j) is the vectorized image of the matrix unit E_ij, so
-    ``vec(channel(X)) == natural_rep @ vec(X)`` for every X.
+    ``vec(channel(X)) == natural_rep @ vec(X)`` for every X. The ``analyze``
+    path streams the same columns in blocks through ``_range_basis`` and
+    stores no n^2 x n^2 array; it calls this only on the exact route, where
+    K is no larger than Q* K.
     """
-    n = form.n
-    rep = np.zeros((n * n, n * n), dtype=np.complex128)
-    unit = np.zeros((n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            unit[i, j] = 1.0
-            rep[:, i * n + j] = apply_linear(form, unit).reshape(-1)
-            unit[i, j] = 0.0
+    dim = form.n * form.n
+    rep = np.empty((dim, dim), dtype=np.complex128)
+    for start, block in _rep_blocks(form):
+        rep[:, start:start + block.shape[1]] = block
     return rep
 
 
@@ -265,41 +300,45 @@ class SpectrumComparison:
 _SKETCH_OVERSAMPLE = 10
 _SKETCH_SEED = 0
 _RANGE_RESIDUAL = 1e-12
-_RESIDUAL_BLOCK = 64
 
 
-def _range_residual(rep, q, qh_rep):
-    """max |rep - Q (Q* rep)| and max |rep|, one block of columns at a time."""
-    worst, top = 0.0, 0.0
-    for start in range(0, rep.shape[1], _RESIDUAL_BLOCK):
-        cols = slice(start, start + _RESIDUAL_BLOCK)
-        block = rep[:, cols]
-        worst = max(worst, float(np.max(np.abs(block - q @ qh_rep[:, cols]))))
-        top = max(top, float(np.max(np.abs(block))))
-    return worst, top
+def _sketch(form: HolevoForm, rng, width: int):
+    """K @ Omega for a complex Gaussian n^2 x width Omega, one channel application per column."""
+    n = form.n
+    omega = rng.standard_normal((n * n, width)) + 1j * rng.standard_normal((n * n, width))
+    return np.column_stack([apply_linear(form, col.reshape(n, n)).reshape(-1) for col in omega.T])
 
 
-def _range_basis(rep, r: int):
-    """Orthonormal basis Q of the range of a square ``rep``, and Q* rep.
+def _range_basis(form: HolevoForm):
+    """Orthonormal basis Q of the range of the natural rep K, and Q* K.
 
-    Q comes from the QR factorization of the sketch rep @ Omega, with Omega
-    complex Gaussian (fixed seed) and r + _SKETCH_OVERSAMPLE columns wide.
-    It is accepted once max |rep - Q (Q* rep)| <= _RANGE_RESIDUAL *
-    max(1, max |rep|); otherwise the width doubles. From width dim(rep) on,
-    Q is the identity and the result is exact.
+    Q comes from the QR factorization of the sketch K @ Omega, with Omega
+    complex Gaussian (fixed seed) and r + _SKETCH_OVERSAMPLE columns wide
+    (``_sketch``: the channel applied to each column of Omega, so K is not
+    needed for it). One pass over K's column blocks (``_rep_blocks``) then
+    fills Q* K and checks max |K - Q (Q* K)| <= _RANGE_RESIDUAL *
+    max(1, max |K|); when the check fails the width doubles. No n^2 x n^2
+    array is held unless the width reaches n^2, where Q is the identity,
+    Q* K is K itself and the result is exact.
     """
-    dim = rep.shape[0]
+    dim = form.n * form.n
     rng = np.random.default_rng(_SKETCH_SEED)
-    width = r + _SKETCH_OVERSAMPLE
+    width = form.r + _SKETCH_OVERSAMPLE
     while width < dim:
-        omega = rng.standard_normal((dim, width)) + 1j * rng.standard_normal((dim, width))
-        q, _ = np.linalg.qr(rep @ omega)
-        qh_rep = q.conj().T @ rep
-        worst, top = _range_residual(rep, q, qh_rep)
+        q, _ = np.linalg.qr(_sketch(form, rng, width))
+        qh_rep = np.empty((width, dim), dtype=np.complex128)
+        worst, top = 0.0, 0.0
+        for start, block in _rep_blocks(form):
+            qh_block = qh_rep[:, start:start + block.shape[1]]
+            qh_block[...] = q.conj().T @ block
+            top = max(top, float(np.max(np.abs(block))))
+            for row in range(0, dim, _REP_BLOCK):  # block -= Q (Q* block), no second block held
+                block[row:row + _REP_BLOCK] -= q[row:row + _REP_BLOCK] @ qh_block
+            worst = max(worst, float(np.max(np.abs(block))))
         if worst <= _RANGE_RESIDUAL * max(1.0, top):
             return q, qh_rep
         width *= 2
-    return np.eye(dim, dtype=np.complex128), rep
+    return np.eye(dim, dtype=np.complex128), natural_rep(form)
 
 
 def _pairs_within(allowed):
@@ -361,8 +400,9 @@ def compare_nonzero_spectrum(form: HolevoForm,
     K has rank <= r, so its nonzero eigenvalues are those of the k x k
     compression (Q* K) Q, where Q is an orthonormal basis of the range of K
     found by a residual-checked random sketch (``_range_basis``; k = r + 10
-    unless the check widens it, or n^2 when that is smaller). Building K and
-    sketching it cost O(r n^4), against O(n^6) for the dense eig. The
+    unless the check widens it, or n^2 when that is smaller). Streaming K's
+    columns through the sketch costs O(r n^4), against O(n^6) for the dense
+    eig, and K is read in blocks of 64 columns, never stored whole. The
     stochastic side is the r x r eig of S, so the two routes stay
     independent. Eigenvalues with modulus
     below ``zero_eig_tol`` are discarded on both sides; ``max_pair_distance``

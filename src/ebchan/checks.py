@@ -7,6 +7,8 @@ propagating.  Used by the ``verify`` CLI command and by the test suite.
 
 from __future__ import annotations
 
+__all__ = ["CheckResult", "all_passed", "run_channel_checks"]
+
 from dataclasses import dataclass
 
 import numpy as np

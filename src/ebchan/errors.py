@@ -5,6 +5,15 @@ validation failures additionally derive from ValueError since they signal
 bad input values.
 """
 
+__all__ = [
+    "ColumnSumViolation", "ConsistencyError", "ConvergenceFailure",
+    "DimensionMismatch", "DocumentSyntaxError", "EbchanError",
+    "KrausRankTooHigh", "NegativeEntry", "NotDensity", "NotHermitian",
+    "NotPOVM", "NotPSD", "NotStochastic", "StationarySolveFailure",
+    "SubsetCapExceeded", "TracePreservationViolation", "ValidationError",
+    "ZeroEffect",
+]
+
 
 class EbchanError(Exception):
     """Base class for all library errors."""

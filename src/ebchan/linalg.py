@@ -11,6 +11,11 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+__all__ = [
+    "DEFAULT_TOL", "Tolerances", "eig_general", "eig_hermitian", "is_pd",
+    "is_psd", "kernel_psd", "tensor", "unvec", "vec",
+]
+
 import math
 from dataclasses import dataclass
 

@@ -6,6 +6,12 @@ every run is reproducible from a single seed.
 
 from __future__ import annotations
 
+__all__ = [
+    "random_channel", "random_density", "random_holevo_form",
+    "random_pure_state", "random_qc_form", "random_stochastic",
+    "wielandt_matrix",
+]
+
 import numpy as np
 
 from .channel import HolevoForm, make_holevo_form, qc_from_stochastic

@@ -20,6 +20,12 @@ Kraus files ``{"n": ..., "operators": [<matrix>, ...]}``.
 
 from __future__ import annotations
 
+__all__ = [
+    "emit_channel_document", "form_to_document", "parse_channel_document",
+    "parse_kraus_file", "parse_state_file", "parse_stochastic_file",
+    "state_to_file", "stochastic_to_file",
+]
+
 import json
 
 import numpy as np

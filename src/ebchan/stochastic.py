@@ -7,6 +7,11 @@ of sub-stochastic entries can never underflow the test.
 
 from __future__ import annotations
 
+__all__ = [
+    "PrimitivityVerdict", "make_stochastic", "primitivity_index",
+    "stationary_distribution", "wielandt_bound",
+]
+
 from dataclasses import dataclass
 
 import numpy as np

@@ -5,12 +5,14 @@ K through an orthonormal basis of its range. The reference here is the dense
 computation they replaced: a general eig of K and an SVD of K.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from ebchan.channel import (_pair_distance, _range_basis, _range_residual,
-                            compare_nonzero_spectrum, depolarizing,
-                            make_holevo_form, map_to_diagonal, natural_rep)
+from ebchan import channel
+from ebchan.channel import (_pair_distance, _range_basis, compare_nonzero_spectrum,
+                            depolarizing, make_holevo_form, map_to_diagonal, natural_rep)
 from ebchan.linalg import DEFAULT_TOL, eig_general
 from ebchan.primitivity import holevo_rank_bounds
 from ebchan.sampling import random_channel, random_holevo_form
@@ -104,24 +106,52 @@ def test_range_is_computed_once_per_form():
     assert form._action_range is first
 
 
-def test_width_doubles_until_the_residual_check_passes():
-    rng = np.random.default_rng(5)
-    dim = 36
-    # rank 15 needs more than the first width 2 + 10 = 12; 24 columns suffice
-    g = rng.standard_normal((dim, 15)) + 1j * rng.standard_normal((dim, 15))
-    h = rng.standard_normal((15, dim)) + 1j * rng.standard_normal((15, dim))
-    low_rank = g @ h
-    q, qh_rep = _range_basis(low_rank, 2)
-    assert q.shape == (dim, 24)
-    assert np.allclose(q.conj().T @ q, np.eye(24), atol=1e-12)
-    worst, top = _range_residual(low_rank, q, qh_rep)
-    assert worst <= 1e-12 * top
+def test_width_doubles_until_the_residual_check_passes(monkeypatch):
+    # K has rank 6; the first width 6 - 5 = 1 and the next two (2, 4) are too narrow
+    monkeypatch.setattr(channel, "_SKETCH_OVERSAMPLE", -5)
+    form = random_holevo_form(np.random.default_rng(5), 6, 6)
+    rep = natural_rep(form)
+    q, qh_rep = _range_basis(form)
+    assert q.shape == (36, 8)
+    assert np.allclose(q.conj().T @ q, np.eye(8), atol=1e-12)
+    assert np.allclose(qh_rep, q.conj().T @ rep, atol=1e-12)
+    assert np.max(np.abs(rep - q @ qh_rep)) <= 1e-12 * np.max(np.abs(rep))
 
 
-def test_full_rank_matrix_falls_back_to_the_exact_basis():
-    rng = np.random.default_rng(6)
-    dim = 36
-    full = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, qh_rep = _range_basis(full, 1)  # widths 11, 22 fail; 44 >= 36 is exact
-    assert np.array_equal(q, np.eye(dim))
-    assert qh_rep is full
+def test_full_rank_matrix_falls_back_to_the_exact_basis(monkeypatch):
+    # n = 3, r = 9: K is 9 x 9 of full rank. The default width 9 + 10 >= 9 is
+    # exact at once; from width 1, the widths 1, 2, 4 and 8 all fail first.
+    form = random_holevo_form(np.random.default_rng(6), 3, 9)
+    rep = natural_rep(form)
+    assert np.linalg.matrix_rank(rep) == 9
+    for oversample in (10, -8):
+        monkeypatch.setattr(channel, "_SKETCH_OVERSAMPLE", oversample)
+        q, qh_rep = _range_basis(form)
+        assert np.array_equal(q, np.eye(9))
+        assert np.array_equal(qh_rep, rep)
+
+
+def test_range_never_holds_the_natural_rep():
+    n = 24
+    form = random_holevo_form(np.random.default_rng(24), n, 4)
+    tracemalloc.start()
+    try:
+        form._action_range
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * n ** 4 / 4  # K alone takes 16 n^4 bytes, 5.3 MB here
+
+
+def test_natural_rep_applies_the_channel_once_per_matrix_unit(monkeypatch):
+    # K must come from the channel's action, not from the factors A and B
+    units = []
+    apply_linear = channel.apply_linear
+
+    def counting(form, x):
+        units.append(np.flatnonzero(x).tolist())
+        return apply_linear(form, x)
+
+    monkeypatch.setattr(channel, "apply_linear", counting)
+    natural_rep(random_holevo_form(np.random.default_rng(9), 4, 3))
+    assert units == [[k] for k in range(16)]

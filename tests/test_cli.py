@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -270,6 +271,12 @@ def test_analyze_rejects_nan_entry(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["analyze", str(path)]) == 2
     assert "NaN or infinite" in capsys.readouterr().err
+
+
+def test_every_exported_name_resolves():
+    assert len(set(ebchan.__all__)) == len(ebchan.__all__)
+    for name in ebchan.__all__:
+        assert not isinstance(getattr(ebchan, name), types.ModuleType), name
 
 
 def test_import_loads_no_scipy():
