@@ -67,7 +67,8 @@ class HolevoForm:
     def _action_range(self):
         """(Q, Q* K) for the natural rep K, computed once per form; see ``_range_basis``.
 
-        K is streamed in column blocks and never stored whole.
+        range(K) lies in span{vec R_k}, so Q is an orthonormal basis of the
+        vectorized states; K is streamed in column blocks and never stored whole.
         """
         return _range_basis(self)
 
@@ -187,8 +188,8 @@ def natural_rep(form: HolevoForm):
     Column (i, j) is the vectorized image of the matrix unit E_ij, so
     ``vec(channel(X)) == natural_rep @ vec(X)`` for every X. The ``analyze``
     path streams the same columns in blocks through ``_range_basis`` and
-    stores no n^2 x n^2 array; it calls this only on the exact route, where
-    K is no larger than Q* K.
+    stores no n^2 x n^2 array; it calls this only on the exact route
+    (r >= n^2, or a failed residual check).
     """
     dim = form.n * form.n
     rep = np.empty((dim, dim), dtype=np.complex128)
@@ -200,11 +201,15 @@ def natural_rep(form: HolevoForm):
 def choi(form: HolevoForm):
     """Choi matrix: block (i, j) of the n^2 x n^2 result is the image of E_ij.
 
-    Realigns the natural rep, whose column i * n + j is that image vectorized:
-    ``choi[i*n + a, j*n + b] == natural_rep[a*n + b, i*n + j]``.
+    Realigns the natural rep, whose column i * n + j is that image vectorized
+    (``_choi_from_rep``).
     """
-    n = form.n
-    return natural_rep(form).reshape(n, n, n, n).transpose(2, 0, 3, 1).reshape(n * n, n * n)
+    return _choi_from_rep(natural_rep(form), form.n)
+
+
+def _choi_from_rep(rep, n: int):
+    """``choi[i*n + a, j*n + b] == rep[a*n + b, i*n + j]`` for the natural rep ``rep``."""
+    return rep.reshape(n, n, n, n).transpose(2, 0, 3, 1).reshape(n * n, n * n)
 
 
 def choi_pair_sum(form: HolevoForm):
@@ -292,41 +297,27 @@ class SpectrumComparison:
     matched: bool
 
 
-# The natural rep K = A B has rank <= r, so a Gaussian sketch K @ Omega a few
-# columns wider than r spans its range up to round-off (Halko, Martinsson &
-# Tropp, "Finding structure with randomness", SIAM Review 53, 2011). The
-# residual bound is relative to max(1, max |K|) and sits far below the default
-# zero_eig_tol, so no eigenvalue or singular value that counts is lost.
-_SKETCH_OVERSAMPLE = 10
-_SKETCH_SEED = 0
+# The residual bound is relative to max(1, max |K|) and sits far below the
+# default zero_eig_tol, so no eigenvalue or singular value that counts is lost.
 _RANGE_RESIDUAL = 1e-12
-
-
-def _sketch(form: HolevoForm, rng, width: int):
-    """K @ Omega for a complex Gaussian n^2 x width Omega, one channel application per column."""
-    n = form.n
-    omega = rng.standard_normal((n * n, width)) + 1j * rng.standard_normal((n * n, width))
-    return np.column_stack([apply_linear(form, col.reshape(n, n)).reshape(-1) for col in omega.T])
 
 
 def _range_basis(form: HolevoForm):
     """Orthonormal basis Q of the range of the natural rep K, and Q* K.
 
-    Q comes from the QR factorization of the sketch K @ Omega, with Omega
-    complex Gaussian (fixed seed) and r + _SKETCH_OVERSAMPLE columns wide
-    (``_sketch``: the channel applied to each column of Omega, so K is not
-    needed for it). One pass over K's column blocks (``_rep_blocks``) then
-    fills Q* K and checks max |K - Q (Q* K)| <= _RANGE_RESIDUAL *
-    max(1, max |K|); when the check fails the width doubles. No n^2 x n^2
-    array is held unless the width reaches n^2, where Q is the identity,
-    Q* K is K itself and the result is exact.
+    Every output of the channel is a combination of the states, so range(K)
+    lies in span{vec R_k}: Q comes from the reduced QR of the n^2 x r factor
+    A, whose columns are the vectorized states. K is still taken from the
+    channel's action, never as A B: one pass over its column blocks
+    (``_rep_blocks``) fills Q* K and checks max |K - Q (Q* K)| <=
+    _RANGE_RESIDUAL * max(1, max |K|). No n^2 x n^2 array is held unless
+    r >= n^2 or the check fails; then Q is the identity, Q* K is K itself
+    and the result is exact.
     """
     dim = form.n * form.n
-    rng = np.random.default_rng(_SKETCH_SEED)
-    width = form.r + _SKETCH_OVERSAMPLE
-    while width < dim:
-        q, _ = np.linalg.qr(_sketch(form, rng, width))
-        qh_rep = np.empty((width, dim), dtype=np.complex128)
+    if form.r < dim:
+        q, _ = np.linalg.qr(factorization(form)[0])
+        qh_rep = np.empty((form.r, dim), dtype=np.complex128)
         worst, top = 0.0, 0.0
         for start, block in _rep_blocks(form):
             qh_block = qh_rep[:, start:start + block.shape[1]]
@@ -337,7 +328,6 @@ def _range_basis(form: HolevoForm):
             worst = max(worst, float(np.max(np.abs(block))))
         if worst <= _RANGE_RESIDUAL * max(1.0, top):
             return q, qh_rep
-        width *= 2
     return np.eye(dim, dtype=np.complex128), natural_rep(form)
 
 
@@ -380,7 +370,8 @@ def _pair_distance(a, b):
     if a.size > b.size:
         a, b = b, a
     cost = np.abs(a[:, None] - b[None, :])
-    levels = np.unique(cost)
+    levels = np.sort(cost, axis=None)
+    levels = levels[np.concatenate(([True], levels[1:] != levels[:-1]))]  # distinct
     mid = lo = int(np.searchsorted(levels, cost.min(axis=1).max()))
     hi = levels.size - 1  # every row reaches every column there
     while lo < hi:
@@ -397,14 +388,13 @@ def compare_nonzero_spectrum(form: HolevoForm,
     """Check that channel and stochastic matrix share their nonzero spectrum.
 
     The channel side never runs a dense eig of the n^2 x n^2 natural rep K.
-    K has rank <= r, so its nonzero eigenvalues are those of the k x k
-    compression (Q* K) Q, where Q is an orthonormal basis of the range of K
-    found by a residual-checked random sketch (``_range_basis``; k = r + 10
-    unless the check widens it, or n^2 when that is smaller). Streaming K's
-    columns through the sketch costs O(r n^4), against O(n^6) for the dense
-    eig, and K is read in blocks of 64 columns, never stored whole. The
-    stochastic side is the r x r eig of S, so the two routes stay
-    independent. Eigenvalues with modulus
+    range(K) lies in span{vec R_k}, so the nonzero eigenvalues of K are those
+    of the k x k compression (Q* K) Q, where Q is an orthonormal basis of the
+    vectorized states, checked against K by its residual (``_range_basis``;
+    k = r, or n^2 when r >= n^2). Streaming K's columns through Q costs
+    O(r n^4), against O(n^6) for the dense eig, and K is read in blocks of
+    64 columns, never stored whole. The stochastic side is the r x r eig of
+    S, so the two routes stay independent. Eigenvalues with modulus
     below ``zero_eig_tol`` are discarded on both sides; ``max_pair_distance``
     is the bottleneck distance of the remainders, the least d under which
     they pair up one to one (``_pair_distance``).

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (HolevoForm, apply_linear, choi, choi_pair_sum,
+from .channel import (HolevoForm, _choi_from_rep, apply_linear, choi_pair_sum,
                       compare_nonzero_spectrum, factorization, fixed_point,
                       iterated_form, natural_rep, stochastic_rep)
 from .linalg import DEFAULT_TOL, Tolerances, unvec, vec
@@ -71,7 +71,7 @@ def run_channel_checks(form: HolevoForm, tol: Tolerances = DEFAULT_TOL,
     out.append(_result("linear_extension", worst <= ROUTE_TOL,
                        f"max relative action mismatch = {worst:.3e}"))
 
-    choi_defect = float(np.max(np.abs(choi(form) - choi_pair_sum(form))))
+    choi_defect = float(np.max(np.abs(_choi_from_rep(rep, n) - choi_pair_sum(form))))
     out.append(_result("choi_two_routes", choi_defect <= ROUTE_TOL,
                        f"max |Choi route difference| = {choi_defect:.3e}"))
 

@@ -106,28 +106,29 @@ def is_pd(h, tol: Tolerances = DEFAULT_TOL) -> bool:
     return bool(w[-1] > tol.psd_tol * max(1.0, w[0]))
 
 
+def _zero_cut(lowest, highest, tol: Tolerances, caller: str) -> float:
+    """Eigenvalue below which a PSD matrix counts as singular; NotPSD if it is not PSD."""
+    scale = max(1.0, float(highest))
+    if lowest < -tol.psd_tol * scale:
+        raise NotPSD(f"{caller} requires a PSD input, lambda_min = {lowest:.3e}")
+    return tol.zero_eig_tol * scale
+
+
 def kernel_psd(h, tol: Tolerances = DEFAULT_TOL):
     """Orthonormal basis of the kernel of a PSD matrix.
 
     Returns an ``n x k`` array whose columns are the eigenvectors with
     eigenvalue below ``zero_eig_tol * max(1, lambda_max)``; ``k`` may be 0.
     """
-    w, v = eig_hermitian(h, tol)
-    if w[-1] < -tol.psd_tol * max(1.0, w[0]):
-        raise NotPSD(f"kernel_psd requires a PSD input, lambda_min = {w[-1]:.3e}")
-    cut = tol.zero_eig_tol * max(1.0, w[0])
-    mask = w < cut
-    return v[:, mask]
+    w, v = eig_hermitian(h, tol)  # descending
+    return v[:, w < _zero_cut(w[-1], w[0], tol, "kernel_psd")]
 
 
 def kernel_dim_psd(h, tol: Tolerances = DEFAULT_TOL) -> int:
     """Dimension of the kernel of a PSD matrix (eigenvalues only, no vectors)."""
     arr = require_hermitian(h, tol)
-    w = np.linalg.eigvalsh((arr + arr.conj().T) / 2.0)
-    top = float(w[-1])
-    if w[0] < -tol.psd_tol * max(1.0, top):
-        raise NotPSD(f"kernel_dim_psd requires a PSD input, lambda_min = {w[0]:.3e}")
-    return int(np.count_nonzero(w < tol.zero_eig_tol * max(1.0, top)))
+    w = np.linalg.eigvalsh((arr + arr.conj().T) / 2.0)  # ascending
+    return int(np.count_nonzero(w < _zero_cut(w[0], w[-1], tol, "kernel_dim_psd")))
 
 
 def eig_general(m):

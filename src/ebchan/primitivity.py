@@ -228,13 +228,12 @@ def holevo_rank_bounds(form: HolevoForm, tol: Tolerances = DEFAULT_TOL) -> Holev
     """Rank of the natural rep K, and the pair-count bounds built on it.
 
     The rank is counted from the singular values of the k x n^2 matrix
-    Q* K, where Q is the residual-checked basis of the range of K that
-    ``compare_nonzero_spectrum`` uses too (k = r + 10 unless the residual
-    check widens it, or n^2 when that is smaller): Q Q* K equals K up to
-    round-off, so both have the same singular values. That costs O(r n^4),
-    against O(n^6) for an SVD of K. K itself is streamed in column blocks
-    and never stored, so memory is O((r + 10 + 64) n^2), not the 16 n^4
-    bytes of K.
+    Q* K, where Q is the orthonormal basis of span{vec R_k}, which contains
+    range(K), that ``compare_nonzero_spectrum`` uses too (k = r, or n^2 when
+    r >= n^2): Q Q* K equals K up to round-off, checked by its residual, so
+    both have the same singular values. That costs O(r n^4), against O(n^6)
+    for an SVD of K. K itself is streamed in column blocks and never
+    stored, so memory is O((r + 64) n^2), not the 16 n^4 bytes of K.
     Singular values above ``zero_eig_tol * max(1, sigma_max)`` count.
     """
     _, qh_rep = form._action_range

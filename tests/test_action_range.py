@@ -67,15 +67,13 @@ def projective_flip(n):
 
 def test_random_channels_match_dense():
     rng = np.random.default_rng(2011)
-    sketched = 0
     for _ in range(240):
         n = int(rng.integers(4, 7))
         r = int(rng.integers(1, n + 2))
         form = random_channel(rng, n, r)
         assert_matches_dense(form)
         q, _ = form._action_range
-        sketched += q.shape[1] < n * n
-    assert sketched >= 200
+        assert q.shape == (n * n, r)
 
 
 @pytest.mark.parametrize("build", [duplicated_pair_form, shared_state_form])
@@ -106,29 +104,42 @@ def test_range_is_computed_once_per_form():
     assert form._action_range is first
 
 
-def test_width_doubles_until_the_residual_check_passes(monkeypatch):
-    # K has rank 6; the first width 6 - 5 = 1 and the next two (2, 4) are too narrow
-    monkeypatch.setattr(channel, "_SKETCH_OVERSAMPLE", -5)
+def test_failed_residual_check_falls_back_to_the_exact_basis(monkeypatch):
+    # a negative bound fails every check, so the exact pair (I, K) comes back
+    monkeypatch.setattr(channel, "_RANGE_RESIDUAL", -1.0)
     form = random_holevo_form(np.random.default_rng(5), 6, 6)
-    rep = natural_rep(form)
     q, qh_rep = _range_basis(form)
-    assert q.shape == (36, 8)
-    assert np.allclose(q.conj().T @ q, np.eye(8), atol=1e-12)
-    assert np.allclose(qh_rep, q.conj().T @ rep, atol=1e-12)
-    assert np.max(np.abs(rep - q @ qh_rep)) <= 1e-12 * np.max(np.abs(rep))
+    assert np.array_equal(q, np.eye(36))
+    assert np.array_equal(qh_rep, natural_rep(form))
 
 
-def test_full_rank_matrix_falls_back_to_the_exact_basis(monkeypatch):
-    # n = 3, r = 9: K is 9 x 9 of full rank. The default width 9 + 10 >= 9 is
-    # exact at once; from width 1, the widths 1, 2, 4 and 8 all fail first.
+def test_full_rank_matrix_falls_back_to_the_exact_basis():
+    # n = 3, r = 9: K is 9 x 9 of full rank, and r >= n^2 takes the exact route
     form = random_holevo_form(np.random.default_rng(6), 3, 9)
     rep = natural_rep(form)
     assert np.linalg.matrix_rank(rep) == 9
-    for oversample in (10, -8):
-        monkeypatch.setattr(channel, "_SKETCH_OVERSAMPLE", oversample)
-        q, qh_rep = _range_basis(form)
-        assert np.array_equal(q, np.eye(9))
-        assert np.array_equal(qh_rep, rep)
+    q, qh_rep = _range_basis(form)
+    assert np.array_equal(q, np.eye(9))
+    assert np.array_equal(qh_rep, rep)
+
+
+def test_range_basis_spans_the_states(monkeypatch):
+    # Q is an orthonormal basis of span{vec R_k}; K is read once, column by column
+    form = random_holevo_form(np.random.default_rng(8), 4, 3)
+    units = []
+    apply_linear = channel.apply_linear
+
+    def counting(form, x):
+        units.append(np.flatnonzero(x).tolist())
+        return apply_linear(form, x)
+
+    monkeypatch.setattr(channel, "apply_linear", counting)
+    q, qh_rep = _range_basis(form)
+    assert q.shape == (16, 3) and qh_rep.shape == (3, 16)
+    assert np.allclose(q.conj().T @ q, np.eye(3), atol=1e-12)
+    for state in form.states:
+        assert np.allclose(q @ (q.conj().T @ state.reshape(-1)), state.reshape(-1), atol=1e-12)
+    assert units == [[k] for k in range(16)]  # the n^2 matrix units, no other operand
 
 
 def test_range_never_holds_the_natural_rep():

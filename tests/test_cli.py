@@ -13,6 +13,7 @@ from ebchan.channel import (depolarizing, make_holevo_form, map_to_diagonal,
                             stochastic_rep)
 from ebchan.cli import main
 from ebchan.errors import ConsistencyError
+from ebchan.sampling import random_holevo_form
 from ebchan.serialization import (emit_channel_document, matrix_to_literal,
                                   parse_channel_document, state_to_file,
                                   stochastic_to_file)
@@ -279,12 +280,38 @@ def test_every_exported_name_resolves():
         assert not isinstance(getattr(ebchan, name), types.ModuleType), name
 
 
+def fresh_python(code, *args):
+    """Last line that ``code`` prints in a fresh interpreter that imports ebchan from here."""
+    src = str(Path(ebchan.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                         env=env, check=True)
+    return out.stdout.strip().splitlines()[-1]
+
+
 def test_import_loads_no_scipy():
     # numpy is the only dependency; a fresh interpreter shows what importing pulls in
     code = ("import sys, ebchan, ebchan.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    src = str(Path(ebchan.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True)
-    assert out.stdout.strip() == "[]"
+    assert fresh_python(code) == "[]"
+
+
+def test_analyze_loads_no_numpy_random_or_ma(tmp_path):
+    # analyze needs neither; numpy 1.x loads both with numpy itself, so only
+    # what the run adds beyond a bare import of numpy counts
+    paths = []
+    for n, r in ((2, 4), (4, 3)):
+        form = random_holevo_form(np.random.default_rng(n), n, r)
+        q, _ = form._action_range
+        assert q.shape[1] == (n * n if r >= n * n else r)  # the exact, then the range route
+        paths.append(tmp_path / f"n{n}.json")
+        paths[-1].write_text(emit_channel_document(form))
+    code = ("import sys, numpy\n"
+            "def loaded(): return {m for m in sys.modules if m.startswith(('numpy.random', 'numpy.ma'))}\n"
+            "bare = loaded()\n"
+            "from ebchan.cli import main\n"
+            "for path in sys.argv[1:]:\n"
+            "    assert main(['analyze', path]) == 0\n"
+            "    assert main(['analyze', path, '--format', 'machine']) == 0\n"
+            "print(sorted(loaded() - bare))\n")
+    assert fresh_python(code, *map(str, paths)) == "[]"

@@ -3,8 +3,8 @@ import pytest
 
 from ebchan.errors import DimensionMismatch, NotHermitian, NotPSD
 from ebchan.linalg import (DEFAULT_TOL, Tolerances, as_matrix, eig_general,
-                           eig_hermitian, is_pd, is_psd, kernel_psd, tensor,
-                           unvec, vec)
+                           eig_hermitian, is_pd, is_psd, kernel_dim_psd, kernel_psd,
+                           tensor, unvec, vec)
 
 E00 = np.array([[1, 0], [0, 0]], dtype=complex)
 PLUS = np.full((2, 2), 0.5, dtype=complex)
@@ -90,6 +90,36 @@ def test_kernel_psd_projection_complement():
 def test_kernel_psd_rejects_indefinite():
     with pytest.raises(NotPSD):
         kernel_psd(np.diag([1.0, -1.0]))
+
+
+def random_unitary(rng, n):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q
+
+
+def test_kernel_dimension_agrees_with_kernel_basis():
+    rng = np.random.default_rng(4)
+    # full rank, deficient rank, and eigenvalues on both sides of the zero cut
+    # zero_eig_tol * max(1, lambda_max): 3e-8 for lambda_max = 3, 1e-8 below 1
+    spectra = [[3.0, 2.0, 1.0, 0.5], [3.0, 1.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0],
+               [3.0, 1.0, 3.1e-8, 2.9e-8], [0.5, 0.2, 1.02e-8, 0.98e-8]]
+    for eigs in spectra:
+        u = random_unitary(rng, len(eigs))
+        h = u @ np.diag(eigs) @ u.conj().T
+        dim = kernel_dim_psd(h)
+        assert dim == kernel_psd(h).shape[1] == sum(e < 1e-8 * max(1.0, eigs[0]) for e in eigs)
+    for rank in range(6):
+        h = random_psd(rng, 5, rank) if rank else np.zeros((5, 5))
+        assert kernel_dim_psd(h) == kernel_psd(h).shape[1] == 5 - rank
+
+
+@pytest.mark.parametrize("lowest", [-1.0, -1e-6])
+def test_both_kernel_routes_reject_indefinite(lowest):
+    u = random_unitary(np.random.default_rng(5), 3)
+    h = u @ np.diag([1.0, 0.5, lowest]) @ u.conj().T
+    for kernel in (kernel_psd, kernel_dim_psd):
+        with pytest.raises(NotPSD, match=kernel.__name__):
+            kernel(h)
 
 
 def test_kernel_vectors_are_annihilated():
