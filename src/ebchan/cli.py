@@ -321,7 +321,14 @@ def cmd_iterate(args) -> int:
 
 
 def _verify_one(label: str, form: HolevoForm, tol: Tolerances, rng, failures: list) -> None:
-    results = run_channel_checks(form, tol, rng)
+    """Check one channel; an error it raises is that channel's failure only."""
+    try:
+        results = run_channel_checks(form, tol, rng)
+    except EbchanError as exc:
+        print(f"{label} (n = {form.n}, r = {form.r}): FAILED exception ({exc})")
+        failures.append({"channel": label, "check": "exception",
+                         "detail": f"{type(exc).__name__}: {exc}"})
+        return
     bad = [res for res in results if not res.ok]
     status = "ok" if not bad else "FAILED " + ", ".join(res.name for res in bad)
     print(f"{label} (n = {form.n}, r = {form.r}): {status}")

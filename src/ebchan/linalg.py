@@ -30,7 +30,8 @@ class Tolerances:
     """Numerical thresholds shared by every analysis routine.
 
     psd_tol        relative eigenvalue slack for PSD/PD and Hermiticity tests
-    zero_eig_tol   modulus below which an eigenvalue counts as zero
+    zero_eig_tol   modulus below which an eigenvalue counts as zero; it must
+                   be positive, since a zero cut would count round-off as rank
     match_tol      max allowed distance when pairing two spectra
     stochastic_tol slack for POVM closure, trace-one and column-sum checks
     """
@@ -45,6 +46,9 @@ class Tolerances:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValidationError(f"{name} must be finite and nonnegative, got {value}")
+        if self.zero_eig_tol == 0:
+            raise ValidationError(f"zero_eig_tol must be positive, got {self.zero_eig_tol}: "
+                                  "a zero cut counts round-off as rank")
 
 
 DEFAULT_TOL = Tolerances()

@@ -6,6 +6,12 @@ checkable facts: the induced stochastic matrix is primitive and the state
 sum ``sum_k R_k`` is positive definite. The exact channel index is found by
 an all-subsets kernel test on the iterated form, exploiting that for PSD
 operators the kernel of a sum is the intersection of the kernels.
+
+The state side of that test depends on the R_k alone, so
+``channel_primitivity_index`` builds its subset table once per search and
+only the iterated-effect table is rebuilt for each m. The definition-level
+sweep ``sweep_positive_iterate`` stays per-m through the public
+``strictly_positive_at``, as the independent route it is checked against.
 """
 
 from __future__ import annotations
@@ -106,21 +112,27 @@ def strictly_positive_at(form: HolevoForm, m: int, tol: Tolerances = DEFAULT_TOL
     and a complement with psi in ker(sum of the other iterated effects).
     The test enumerates all 2^r splits (it is exact); the verdict is the
     first triggering split in increasing-bitmask order, so it is
-    deterministic regardless of evaluation schedule.
+    deterministic regardless of evaluation schedule. This builds the
+    state-side table on every call; ``channel_primitivity_index`` builds it
+    once and reuses it for each m it tests.
     """
     if form.r > subset_cap:
         raise SubsetCapExceeded(
             f"r = {form.r} exceeds the exact-enumeration cap {subset_cap}")
+    return _positive_at(form, m, tol, _alive_table(form.states, form.n, tol))
+
+
+def _positive_at(form, m, tol, alive_states):
+    """The split scan of ``strictly_positive_at`` given the state-side table."""
     iterated = iterated_form(form, m, tol)
     states = list(form.states)
     effects_m = list(iterated.effects)
     n = form.n
     full = (1 << form.r) - 1
 
-    alive_r = _alive_table(states, n, tol)
     alive_g = _alive_table(effects_m, n, tol)
     for t_mask in range(full + 1):
-        if alive_r[t_mask] and alive_g[full ^ t_mask]:
+        if alive_states[t_mask] and alive_g[full ^ t_mask]:
             subset = tuple(k for k in range(form.r) if t_mask >> k & 1)
             complement = tuple(k for k in range(form.r) if not t_mask >> k & 1)
             phi = _kernel_vector(states, subset, n, tol)
@@ -165,9 +177,11 @@ def channel_primitivity_index(form: HolevoForm, tol: Tolerances = DEFAULT_TOL,
 
     The search runs over the guaranteed window [max(1, p-1), p+1];
     ``sweep_positive_iterate`` is the definition-level oracle that scans
-    from m = 1. Positivity once reached must persist, so the search re-tests
-    at q + 1 whenever that lies inside the window and refuses to return an
-    answer contradicting monotonicity.
+    from m = 1, rebuilding every table per m. Positivity once reached must
+    persist, so the search re-tests at q + 1 whenever that lies inside the
+    window and refuses to return an answer contradicting monotonicity. The
+    state-side subset table does not depend on m, so it is built once per
+    search and shared by every m tested, the re-test included.
     """
     s = stochastic_rep(form, tol)
     verdict = primitivity_index(s, tol)
@@ -189,16 +203,17 @@ def channel_primitivity_index(form: HolevoForm, tol: Tolerances = DEFAULT_TOL,
             p_index=p, q_index=None, bound_abs_diff_ok=None,
             holevo_rank_bound_ok=None, q_method="bounds-only", q_window=window)
 
+    alive_states = _alive_table(form.states, form.n, tol)
     q = None
     for m in range(window[0], window[1] + 1):
-        if strictly_positive_at(form, m, tol, subset_cap).holds:
+        if _positive_at(form, m, tol, alive_states).holds:
             q = m
             break
     if q is None:
         raise ConsistencyError(
             f"primitive channel shows no positive iterate in [{window[0]}, {window[1]}]; "
             f"p = {p}")
-    if q < window[1] and not strictly_positive_at(form, q + 1, tol, subset_cap).holds:
+    if q < window[1] and not _positive_at(form, q + 1, tol, alive_states).holds:
         raise ConsistencyError(f"positivity holds at m = {q} but not at m = {q + 1}")
 
     return ChannelPrimitivityReport(
@@ -271,7 +286,10 @@ def sweep_positive_iterate(form: HolevoForm, tol: Tolerances = DEFAULT_TOL,
 
     Returns (primitive, least m) by testing strict positivity directly at
     every m up to the index bound, independent of the stochastic-matrix
-    decision path. Intended for cross-checking, not routine use.
+    decision path. Every m goes through the public ``strictly_positive_at``,
+    which rebuilds both subset tables, so this route shares no table with
+    ``channel_primitivity_index``. Intended for cross-checking, not routine
+    use.
     """
     cap = wielandt_bound(form.r) + 1
     for m in range(1, cap + 1):

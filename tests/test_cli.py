@@ -11,6 +11,7 @@ import pytest
 import ebchan
 from ebchan.channel import (depolarizing, make_holevo_form, map_to_diagonal,
                             stochastic_rep)
+from ebchan.checks import run_channel_checks
 from ebchan.cli import main
 from ebchan.errors import ConsistencyError
 from ebchan.sampling import random_holevo_form
@@ -254,6 +255,38 @@ def test_analyze_rejects_bad_tolerance(depolarizing_file, value, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "psd_tol must be finite and nonnegative" in captured.err
+
+
+def test_analyze_rejects_zero_eig_tol_zero(depolarizing_file, capsys):
+    assert main(["analyze", depolarizing_file, "--zero-eig-tol", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: zero_eig_tol must be positive" in captured.err
+
+
+def test_verify_random_reports_a_raising_channel_and_goes_on(capsys, monkeypatch):
+    seen = []
+
+    def raise_on_second(form, tol, rng):
+        seen.append(form)
+        if len(seen) == 2:
+            raise ConsistencyError("positivity holds at m = 2 but not at m = 3")
+        return run_channel_checks(form, tol, rng)
+
+    monkeypatch.setattr("ebchan.cli.run_channel_checks", raise_on_second)
+    assert main(["verify", "--random", "4", "--seed", "0"]) == 1
+    captured = capsys.readouterr()
+    out = captured.out
+    assert len(seen) == 4
+    lines = [line for line in out.splitlines() if line.startswith("random[")]
+    assert [line.split(" ")[0] for line in lines] == [f"random[{i}]" for i in range(4)]
+    assert lines[1].endswith(": FAILED exception (positivity holds at m = 2 but not at m = 3)")
+    assert all(line.endswith(": ok") for line in lines[::2] + lines[3:])
+    assert "Traceback" not in out + captured.err
+    failures = json.loads(out[out.index("{"):])["failures"]
+    assert failures == [{"channel": "random[1]", "check": "exception",
+                         "detail": "ConsistencyError: positivity holds at m = 2 "
+                                   "but not at m = 3"}]
 
 
 def test_internal_consistency_failure_exits_one(example_one_file, capsys, monkeypatch):

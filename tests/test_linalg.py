@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ebchan.errors import DimensionMismatch, NotHermitian, NotPSD
+from ebchan.errors import DimensionMismatch, NotHermitian, NotPSD, ValidationError
 from ebchan.linalg import (DEFAULT_TOL, Tolerances, as_matrix, eig_general,
                            eig_hermitian, is_pd, is_psd, kernel_dim_psd, kernel_psd,
                            tensor, unvec, vec)
@@ -31,6 +31,13 @@ def test_tolerances_defaults():
 def test_tolerances_reject_negative():
     with pytest.raises(ValueError):
         Tolerances(psd_tol=-1e-9)
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0])
+def test_tolerances_reject_zero_eig_tol_zero(value):
+    with pytest.raises(ValidationError, match="zero_eig_tol must be positive"):
+        Tolerances(zero_eig_tol=value)
+    assert Tolerances(zero_eig_tol=1e-300).zero_eig_tol == 1e-300
 
 
 def test_as_matrix_rejects_nan_and_shape():

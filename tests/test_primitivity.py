@@ -3,13 +3,15 @@ import pytest
 
 from ebchan.channel import (apply_linear, depolarizing, make_holevo_form,
                             map_to_diagonal, stochastic_rep)
+from ebchan import primitivity
 from ebchan.errors import SubsetCapExceeded
 from ebchan.primitivity import (channel_primitivity_index, holevo_rank_bounds,
                                 is_primitive_channel,
                                 quantum_wielandt_comparison,
                                 strictly_positive_at, sum_R_positive_definite,
                                 sweep_positive_iterate)
-from ebchan.sampling import random_channel, random_holevo_form, random_pure_state
+from ebchan.sampling import (random_channel, random_holevo_form, random_pure_state,
+                             random_qc_form)
 
 E00 = np.diag([1.0, 0.0]).astype(complex)
 E11 = np.diag([0.0, 1.0]).astype(complex)
@@ -132,17 +134,44 @@ def test_report_equivalence_invariant():
         assert report.channel_primitive == (report.s_primitive and report.sum_R_pd)
 
 
+def primitive_qc_form(rng, r):
+    while True:
+        form = random_qc_form(rng, r, zero_fraction=0.6)
+        if is_primitive_channel(form):
+            return form
+
+
 def test_window_matches_full_search():
     rng = np.random.default_rng(33)
+    forms = [random_channel(rng, int(rng.integers(2, 4)), int(rng.integers(1, 5)))
+             for _ in range(25)]
+    # q = p + 1 and q = p - 1, then sparse qc forms whose windows start above m = 1
+    forms += [example_one(), example_two()]
+    forms += [primitive_qc_form(rng, r) for r in range(4, 11)]
     tested = 0
-    for _ in range(25):
-        form = random_channel(rng, int(rng.integers(2, 4)), int(rng.integers(1, 5)))
+    for form in forms:
         windowed = channel_primitivity_index(form)
         if not windowed.channel_primitive:
             continue
         tested += 1
         assert sweep_positive_iterate(form)[1] == windowed.q_index
-    assert tested > 0
+    assert tested >= 9
+
+
+def test_state_table_is_built_once_per_search(monkeypatch):
+    form = primitive_qc_form(np.random.default_rng(37), 6)
+    calls = []
+
+    def counting(mats, n, tol):
+        calls.append(all(a is b for a, b in zip(mats, form.states)))
+        return alive_table(mats, n, tol)
+
+    alive_table = primitivity._alive_table
+    monkeypatch.setattr(primitivity, "_alive_table", counting)
+    report = channel_primitivity_index(form)
+    assert report.p_index >= 2  # the window starts at p - 1 and tests p too
+    assert calls.count(True) == 1
+    assert calls.count(False) >= 2  # one iterated-effect table per m tested
 
 
 def test_bounds_only_above_cap():
