@@ -72,6 +72,11 @@ class HolevoForm:
         """
         return _range_basis(self)
 
+    @functools.cached_property
+    def _stochastic_by_tol(self):
+        """Validated, read-only S per ``Tolerances``, filled by ``stochastic_rep``."""
+        return {}
+
 
 def _freeze(arr):
     out = np.array(arr, dtype=np.complex128)
@@ -146,14 +151,24 @@ def make_holevo_form(n, pairs, tol: Tolerances = DEFAULT_TOL) -> HolevoForm:
 # channel action and matrix pictures
 
 def apply_linear(form: HolevoForm, x):
-    """Linear extension of the channel to arbitrary square matrices."""
-    x = as_square(x, "x")
-    if x.shape[0] != form.n:
-        raise DimensionMismatch(f"operand must be {form.n}x{form.n}, got {x.shape}")
-    out = np.zeros((form.n, form.n), dtype=np.complex128)
-    xt = x.T
+    """Linear extension of the channel to square matrices, one or a stack.
+
+    ``x`` is one n x n matrix or a stack of shape (..., n, n); the result
+    has the shape of ``x`` and holds the channel applied to each trailing
+    n x n matrix. Raises DimensionMismatch when ``x`` has fewer than two
+    axes or a trailing shape other than (n, n), and ValidationError when it
+    holds NaN or infinite entries.
+    """
+    x = np.asarray(x, dtype=np.complex128)
+    if x.ndim < 2 or x.shape[-2:] != (form.n, form.n):
+        raise DimensionMismatch(f"operand must be {form.n}x{form.n} or a stack of them, "
+                                f"got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValidationError("x contains NaN or infinite entries")
+    out = np.zeros(x.shape, dtype=np.complex128)
+    xt = np.swapaxes(x, -2, -1)
     for f, r in zip(form.effects, form.states):
-        out += np.sum(f * xt) * r  # tr(F_k X) in O(n^2)
+        out += np.sum(f * xt, axis=(-2, -1))[..., None, None] * r  # tr(F_k X) in O(n^2)
     return out
 
 
@@ -229,7 +244,18 @@ def factorization(form: HolevoForm):
 
 
 def stochastic_rep(form: HolevoForm, tol: Tolerances = DEFAULT_TOL):
-    """Induced r x r column-stochastic matrix with entries tr(F_i R_j)."""
+    """Induced r x r column-stochastic matrix with entries tr(F_i R_j).
+
+    Computed once per form and tolerance set; every call after the first
+    returns the same read-only array.
+    """
+    cache = form._stochastic_by_tol
+    if tol not in cache:
+        cache[tol] = _induced_stochastic(form, tol)
+    return cache[tol]
+
+
+def _induced_stochastic(form: HolevoForm, tol: Tolerances):
     fs = np.stack(form.effects)
     rs = np.stack(form.states)
     s = np.einsum("iab,jba->ij", fs, rs).real

@@ -11,8 +11,8 @@ from ebchan.channel import (_pair_distance, apply_linear, choi, choi_pair_sum,
                             qc_from_stochastic, stochastic_rep)
 from ebchan.errors import (DimensionMismatch, KrausRankTooHigh, NotDensity,
                            NotPOVM, NotStochastic, TracePreservationViolation,
-                           ZeroEffect)
-from ebchan.linalg import vec
+                           ValidationError, ZeroEffect)
+from ebchan.linalg import DEFAULT_TOL, Tolerances, vec
 from ebchan.sampling import random_density, random_holevo_form
 
 E00 = np.diag([1.0, 0.0]).astype(complex)
@@ -96,6 +96,60 @@ def test_apply_dimension_mismatch():
         apply_linear(example_one(), np.eye(3) / 3)
 
 
+def one_matrix_reference(form, x):
+    # reference single-matrix action: a C-ordered copy, then one full trace per pair
+    x = np.array(x, dtype=np.complex128, order="C")
+    out = np.zeros((form.n, form.n), dtype=np.complex128)
+    for f, r in zip(form.effects, form.states):
+        out += np.sum(f * x.T) * r
+    return out
+
+
+def stack_forms():
+    rng = np.random.default_rng(31)
+    return [example_one(), example_two(), depolarizing(3), map_to_diagonal(4),
+            random_holevo_form(rng, 3, 5), random_holevo_form(rng, 5, 2)]
+
+
+@pytest.mark.parametrize("lead", [(7,), (2, 3)])
+def test_apply_stack_matches_one_matrix_at_a_time(lead):
+    rng = np.random.default_rng(32)
+    for form in stack_forms():
+        shape = lead + (form.n, form.n)
+        xs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        out = apply_linear(form, xs)
+        assert out.shape == shape
+        for index in np.ndindex(*lead):
+            assert np.array_equal(out[index], apply_linear(form, xs[index]))
+
+
+def test_apply_one_matrix_is_bitwise_the_reference_loop():
+    rng = np.random.default_rng(33)
+    for form in stack_forms():
+        for _ in range(5):
+            x = rng.standard_normal((form.n, form.n)) + 1j * rng.standard_normal((form.n, form.n))
+            assert np.array_equal(apply_linear(form, x), one_matrix_reference(form, x))
+        real = rng.standard_normal((form.n, form.n))  # real and transposed operands too
+        assert np.array_equal(apply_linear(form, real.T), one_matrix_reference(form, real.T))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_apply_stack_rejects_non_finite_entries(bad):
+    form = random_holevo_form(np.random.default_rng(34), 3, 2)
+    for index in [(0, 0, 0), (4, 2, 1), (2, 1, 2)]:
+        xs = np.zeros((5, 3, 3), dtype=np.complex128)
+        xs[index] = bad
+        with pytest.raises(ValidationError):
+            apply_linear(form, xs)
+
+
+@pytest.mark.parametrize("shape", [(4, 3, 2), (4, 2, 3), (2, 2, 2), (3,), (9,), ()])
+def test_apply_stack_rejects_wrong_shapes(shape):
+    form = random_holevo_form(np.random.default_rng(35), 3, 2)
+    with pytest.raises(DimensionMismatch):
+        apply_linear(form, np.ones(shape))
+
+
 # --- representations ---
 
 def test_natural_rep_map_to_diagonal():
@@ -173,6 +227,17 @@ def test_stochastic_rep_examples():
                                          [0.0, 0.0, 0.5],
                                          [0.5, 0.5, 0.5]]), atol=1e-12)
     np.testing.assert_allclose(stochastic_rep(map_to_diagonal(4)), np.eye(4), atol=1e-12)
+
+
+def test_stochastic_rep_is_cached_per_tolerances():
+    form = random_holevo_form(np.random.default_rng(36), 3, 4)
+    first = stochastic_rep(form)
+    assert stochastic_rep(form, DEFAULT_TOL) is first
+    assert not first.flags.writeable
+    loose = Tolerances(stochastic_tol=1e-8)
+    other = stochastic_rep(form, loose)
+    assert other is not first and stochastic_rep(form, loose) is other
+    assert np.array_equal(other, first)
 
 
 # --- iteration and fixed points ---

@@ -1,7 +1,10 @@
 import numpy as np
+import pytest
 
+from ebchan import channel, checks
 from ebchan.channel import depolarizing, make_holevo_form, map_to_diagonal
 from ebchan.checks import CheckResult, all_passed, run_channel_checks
+from ebchan.linalg import DEFAULT_TOL, Tolerances
 from ebchan.sampling import random_channel
 
 E00 = np.diag([1.0, 0.0]).astype(complex)
@@ -71,3 +74,91 @@ def test_details_carry_numbers():
 
     diag = {res.name: res for res in run_channel_checks(map_to_diagonal(2))}
     assert "claimed-zero matrix element" in diag["witness_soundness"].detail
+
+
+def test_linear_extension_probes_are_the_sequential_draws(monkeypatch):
+    # the stacked probes must be the 50 (real, imag) pairs the loop drew one
+    # at a time, and the run must leave the stream where the loop left it
+    form = random_channel(np.random.default_rng(60), 3, 4)
+    stacks = []
+    apply_linear = checks.apply_linear
+
+    def spy(form, x):
+        if np.ndim(x) == 3:
+            stacks.append(np.array(x))
+        return apply_linear(form, x)
+
+    monkeypatch.setattr(checks, "apply_linear", spy)
+    rng = np.random.default_rng(61)
+    results = run_channel_checks(form, rng=rng)
+    assert all_passed(results)
+
+    reference = np.random.default_rng(61)
+    expected = []
+    for _ in range(50):
+        real = reference.standard_normal((3, 3))
+        expected.append(real + 1j * reference.standard_normal((3, 3)))
+    assert len(stacks) == 1 and np.array_equal(stacks[0], np.array(expected))
+    for _ in range(2):  # one probe per iterated form, m = 2 and 3
+        reference.standard_normal((3, 3))
+        reference.standard_normal((3, 3))
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_linear_extension_fails_on_a_moved_rep_entry(monkeypatch):
+    natural_rep = checks.natural_rep
+
+    def moved(form):
+        rep = natural_rep(form)
+        rep[4, 7] += 1e-6
+        return rep
+
+    monkeypatch.setattr(checks, "natural_rep", moved)
+    form = random_channel(np.random.default_rng(62), 3, 3)
+    by_name = {res.name: res for res in run_channel_checks(form)}
+    assert not by_name["linear_extension"].ok, by_name["linear_extension"].detail
+
+
+def count_calls(monkeypatch, module, name, *modules):
+    """Wrap ``module.name`` (and its imported copies in ``modules``) to record each call."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for mod in (module, *modules):
+        monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_channel_actions_per_check_run(monkeypatch, n):
+    # n^2 for the natural rep, one stacked linear_extension probe, seven for
+    # the two iterated-form probes, one for the fixed point; a fresh form
+    # adds n^2 for the streamed range pass
+    calls = count_calls(monkeypatch, channel, "apply_linear", checks)
+    rng = np.random.default_rng(63 + n)
+    for r in (1, 2, 4):
+        form = random_channel(rng, n, r)
+        del calls[:]
+        assert all_passed(run_channel_checks(form, rng=rng))
+        assert len(calls) <= 2 * n * n + 9
+        del calls[:]
+        assert all_passed(run_channel_checks(form, rng=rng))  # range now cached
+        assert len(calls) <= n * n + 9
+
+
+def test_stochastic_matrix_is_computed_once_per_form_and_tolerances(monkeypatch):
+    calls = count_calls(monkeypatch, channel, "_induced_stochastic")
+    rng = np.random.default_rng(64)
+    for tol in (DEFAULT_TOL, Tolerances(psd_tol=1e-10)):
+        for form in (random_channel(rng, 2, 3), random_channel(rng, 3, 2),
+                     make_holevo_form(2, [(PLUS, E00), (MINUS, E11)])):
+            del calls[:]
+            assert all_passed(run_channel_checks(form, tol, rng))
+            keys = [(id(f), t) for f, t in calls]  # calls holds every form, so ids stay unique
+            assert len(keys) == len(set(keys))
+            assert keys.count((id(form), tol)) == 1
+            assert all(t == tol for _, t in calls)
