@@ -91,18 +91,28 @@ def _build_form(n, effects, states) -> HolevoForm:
                       states=tuple(map(_freeze, states)))
 
 
-def require_density(rho, n=None, tol: Tolerances = DEFAULT_TOL, name="rho", pair_index=None):
-    """Validate a density matrix (PSD, unit trace) and return it as an array."""
-    arr = as_square(rho, name)
+def _require_psd(m, n, tol: Tolerances, name, error, pair_index):
+    """Validate a PSD matrix of outside input; return it and its descending eigenvalues.
+
+    DimensionMismatch if it is not square or not n x n (n None skips that);
+    ``error`` if it is not Hermitian or lambda_min < -psd_tol * max(1, lambda_max).
+    """
+    arr = as_square(m, name)
     if n is not None and arr.shape[0] != n:
         raise DimensionMismatch(f"{name} must be {n}x{n}, got {arr.shape[0]}x{arr.shape[1]}",
                                 pair_index=pair_index)
     try:
         w, _ = eig_hermitian(arr, tol)
     except ValidationError as exc:
-        raise NotDensity(f"{name} is not Hermitian: {exc}", pair_index=pair_index) from exc
+        raise error(f"{name} is not Hermitian: {exc}", pair_index=pair_index) from exc
     if w[-1] < -tol.psd_tol * max(1.0, w[0]):
-        raise NotDensity(f"{name} is not PSD: lambda_min = {w[-1]:.3e}", pair_index=pair_index)
+        raise error(f"{name} is not PSD: lambda_min = {w[-1]:.3e}", pair_index=pair_index)
+    return arr, w
+
+
+def require_density(rho, n=None, tol: Tolerances = DEFAULT_TOL, name="rho", pair_index=None):
+    """Validate a density matrix (PSD, unit trace) and return it as an array."""
+    arr, _ = _require_psd(rho, n, tol, name, NotDensity, pair_index)
     trace = complex(np.trace(arr))
     if abs(trace - 1.0) > tol.stochastic_tol:
         raise NotDensity(f"{name} has trace {trace}, expected 1", pair_index=pair_index)
@@ -124,16 +134,7 @@ def make_holevo_form(n, pairs, tol: Tolerances = DEFAULT_TOL) -> HolevoForm:
 
     effects, states = [], []
     for k, (f, r) in enumerate(pairs):
-        f = as_square(f, f"F[{k}]")
-        if f.shape[0] != n:
-            raise DimensionMismatch(f"F[{k}] must be {n}x{n}, got {f.shape[0]}x{f.shape[1]}",
-                                    pair_index=k)
-        try:
-            w, _ = eig_hermitian(f, tol)
-        except ValidationError as exc:
-            raise NotPSD(f"F[{k}] is not Hermitian: {exc}", pair_index=k) from exc
-        if w[-1] < -tol.psd_tol * max(1.0, w[0]):
-            raise NotPSD(f"F[{k}] is not PSD: lambda_min = {w[-1]:.3e}", pair_index=k)
+        f, w = _require_psd(f, n, tol, f"F[{k}]", NotPSD, k)
         if w[0] <= tol.stochastic_tol:
             raise ZeroEffect(f"F[{k}] is numerically zero", pair_index=k)
         effects.append(f)

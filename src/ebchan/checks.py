@@ -153,8 +153,10 @@ def run_channel_checks(form: HolevoForm, tol: Tolerances = DEFAULT_TOL,
         out.append(_result("index_bound", report.holevo_rank_bound_ok,
                            f"q = {report.q_index} vs r^2 - 2r + 3 = {r * r - 2 * r + 3}"))
 
-    if r <= SUBSET_CAP:
-        probe_m = report.q_index if report.q_index is not None else 1
+    # the least m without positivity: q - 1, or 1 for a channel that is not
+    # primitive; with q = 1 there is none to probe
+    probe_m = 1 if report.q_index is None else report.q_index - 1
+    if r <= SUBSET_CAP and probe_m >= 1:
         res = strictly_positive_at(form, probe_m, tol)
         if not res.holds and res.state is not None:
             leak = abs(res.value)

@@ -33,7 +33,7 @@ from .linalg import DEFAULT_TOL, Tolerances
 from .primitivity import (ChannelPrimitivityReport, HolevoRankBounds,
                           channel_primitivity_index, holevo_rank_bounds)
 from .sampling import random_channel
-from .serialization import (document_metadata, emit_channel_document,
+from .serialization import (_loads, document_to_form, emit_channel_document,
                             matrix_to_literal, parse_channel_document,
                             parse_kraus_file, parse_state_file,
                             parse_stochastic_file)
@@ -274,10 +274,9 @@ def cmd_build(args) -> int:
 
 def cmd_analyze(args) -> int:
     tol = _tolerances_from(args)
-    text = _read_text(args.file)
-    form = parse_channel_document(text, tol)
-    meta = document_metadata(text)
-    name = meta.get("name") if isinstance(meta, dict) else None
+    doc = _loads(_read_text(args.file), "channel document")
+    form = document_to_form(doc, tol)  # validates 'metadata' as strings to strings
+    name = (doc.get("metadata") or {}).get("name")
     report = analyze_form(form, tol)
     if args.format == "machine":
         sys.stdout.write(render_machine(report, name))

@@ -75,24 +75,18 @@ def as_square(m, name="matrix"):
     return arr
 
 
-def require_hermitian(h, tol: Tolerances = DEFAULT_TOL, name="matrix"):
-    """Validate Hermiticity entrywise against the adjoint; return the array."""
-    arr = as_square(h, name)
-    scale = 1.0 + float(np.max(np.abs(arr)))
-    defect = float(np.max(np.abs(arr - arr.conj().T)))
-    if defect > tol.psd_tol * scale:
-        raise NotHermitian(f"{name} is not Hermitian: max |H - H*| = {defect:.3e}")
-    return arr
-
-
 def eig_hermitian(h, tol: Tolerances = DEFAULT_TOL):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues, eigenvectors) with real eigenvalues sorted in
     descending order and matching orthonormal eigenvector columns, so that
-    ``h == V @ diag(w) @ V.conj().T`` up to round-off.
+    ``h == V @ diag(w) @ V.conj().T`` up to round-off. Raises NotHermitian
+    when max |H - H*| exceeds ``psd_tol * (1 + max |H|)``.
     """
-    arr = require_hermitian(h, tol)
+    arr = as_square(h)
+    defect = float(np.max(np.abs(arr - arr.conj().T)))
+    if defect > tol.psd_tol * (1.0 + float(np.max(np.abs(arr)))):
+        raise NotHermitian(f"matrix is not Hermitian: max |H - H*| = {defect:.3e}")
     w, v = np.linalg.eigh((arr + arr.conj().T) / 2.0)
     order = np.argsort(w)[::-1]
     return w[order].real, v[:, order]
@@ -129,9 +123,14 @@ def kernel_psd(h, tol: Tolerances = DEFAULT_TOL):
 
 
 def kernel_dim_psd(h, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Dimension of the kernel of a PSD matrix (eigenvalues only, no vectors)."""
-    arr = require_hermitian(h, tol)
-    w = np.linalg.eigvalsh((arr + arr.conj().T) / 2.0)  # ascending
+    """Dimension of the kernel of a PSD matrix (eigenvalues only, no vectors).
+
+    ``h`` is a square array the program built as a sum of PSD matrices that
+    were validated when they came in, so it is neither copied nor checked
+    again; only its symmetrized eigenvalues are computed, and one below
+    ``-psd_tol * max(1, lambda_max)`` still raises NotPSD.
+    """
+    w = np.linalg.eigvalsh((h + h.conj().T) / 2.0)  # ascending
     return int(np.count_nonzero(w < _zero_cut(w[0], w[-1], tol, "kernel_dim_psd")))
 
 

@@ -7,6 +7,11 @@ sum ``sum_k R_k`` is positive definite. The exact channel index is found by
 an all-subsets kernel test on the iterated form, exploiting that for PSD
 operators the kernel of a sum is the intersection of the kernels.
 
+Each side of that test stacks its r validated PSD matrices as (r, n, n),
+and a subset sum is ``stack[members].sum(axis=0)``; built from checked
+pairs, it is not validated again before its kernel solve. The split scan is
+one AND of the state table with the reversed iterated-effect table.
+
 The state side of that test depends on the R_k alone, so
 ``channel_primitivity_index`` builds its subset table once per search and
 only the iterated-effect table is rebuilt for each m. The definition-level
@@ -69,37 +74,32 @@ class StrictPositivityResult:
         return self.holds
 
 
-def _alive_table(mats, n, tol):
-    """alive[mask] = True iff the summed PSD matrices over ``mask`` have a kernel.
+def _alive_table(mats, tol):
+    """alive[mask] = True iff the sum of ``mats[k]`` over the bits k of ``mask`` has a kernel.
 
-    Downward closed: adding terms can only shrink the kernel, so a dead
-    parent (mask without its lowest bit) kills the mask without a solve.
+    ``mats`` holds r validated PSD matrices, as a sequence or an (r, n, n)
+    stack. Downward closed: adding terms can only shrink the kernel, so a
+    dead parent (mask without its lowest bit) kills the mask without a solve.
     """
-    r = len(mats)
+    stack = np.asarray(mats)
+    r = len(stack)
     alive = np.zeros(1 << r, dtype=bool)
     alive[0] = True  # empty sum is the zero matrix, kernel is everything
     for mask in range(1, 1 << r):
-        parent = mask & (mask - 1)
-        if not alive[parent]:
-            continue
-        h = np.zeros((n, n), dtype=np.complex128)
-        for k in range(r):
-            if mask >> k & 1:
-                h = h + mats[k]
-        alive[mask] = kernel_dim_psd(h, tol) > 0
+        if alive[mask & (mask - 1)]:
+            members = [k for k in range(r) if mask >> k & 1]
+            alive[mask] = kernel_dim_psd(stack[members].sum(axis=0), tol) > 0
     return alive
 
 
-def _kernel_vector(mats, indices, n, tol):
+def _kernel_vector(mats, indices, tol):
+    """A unit vector in the kernel of the sum of ``mats[k]`` over ``indices``."""
+    stack = np.asarray(mats)
     if not indices:
-        e0 = np.zeros(n, dtype=np.complex128)
+        e0 = np.zeros(stack.shape[-1], dtype=np.complex128)
         e0[0] = 1.0
         return e0
-    h = np.zeros((n, n), dtype=np.complex128)
-    for k in indices:
-        h = h + mats[k]
-    basis = kernel_psd(h, tol)
-    return basis[:, 0]
+    return kernel_psd(stack[list(indices)].sum(axis=0), tol)[:, 0]
 
 
 def strictly_positive_at(form: HolevoForm, m: int, tol: Tolerances = DEFAULT_TOL,
@@ -119,29 +119,28 @@ def strictly_positive_at(form: HolevoForm, m: int, tol: Tolerances = DEFAULT_TOL
     if form.r > subset_cap:
         raise SubsetCapExceeded(
             f"r = {form.r} exceeds the exact-enumeration cap {subset_cap}")
-    return _positive_at(form, m, tol, _alive_table(form.states, form.n, tol))
+    return _positive_at(form, m, tol, _alive_table(form.states, tol))
 
 
 def _positive_at(form, m, tol, alive_states):
-    """The split scan of ``strictly_positive_at`` given the state-side table."""
-    iterated = iterated_form(form, m, tol)
-    states = list(form.states)
-    effects_m = list(iterated.effects)
-    n = form.n
-    full = (1 << form.r) - 1
+    """The split scan of ``strictly_positive_at`` given the state-side table.
 
-    alive_g = _alive_table(effects_m, n, tol)
-    for t_mask in range(full + 1):
-        if alive_states[t_mask] and alive_g[full ^ t_mask]:
-            subset = tuple(k for k in range(form.r) if t_mask >> k & 1)
-            complement = tuple(k for k in range(form.r) if not t_mask >> k & 1)
-            phi = _kernel_vector(states, subset, n, tol)
-            psi = _kernel_vector(effects_m, complement, n, tol)
-            value = float(sum((psi.conj() @ g @ psi).real * (phi.conj() @ r @ phi).real
-                              for g, r in zip(effects_m, states)))
-            return StrictPositivityResult(holds=False, m=m, subset=subset,
-                                          state=psi, direction=phi, value=value)
-    return StrictPositivityResult(holds=True, m=m)
+    Index t of the reversed effect table is mask ``full ^ t``, so the first
+    hit of the elementwise AND is the first split in increasing-bitmask order.
+    """
+    states, effects_m = form.states, iterated_form(form, m, tol).effects
+    hits = np.flatnonzero(alive_states & _alive_table(effects_m, tol)[::-1])
+    if not hits.size:
+        return StrictPositivityResult(holds=True, m=m)
+    t_mask = int(hits[0])
+    subset = tuple(k for k in range(form.r) if t_mask >> k & 1)
+    complement = tuple(k for k in range(form.r) if not t_mask >> k & 1)
+    phi = _kernel_vector(states, subset, tol)
+    psi = _kernel_vector(effects_m, complement, tol)
+    value = float(sum((psi.conj() @ g @ psi).real * (phi.conj() @ r @ phi).real
+                      for g, r in zip(effects_m, states)))
+    return StrictPositivityResult(holds=False, m=m, subset=subset,
+                                  state=psi, direction=phi, value=value)
 
 
 def is_primitive_channel(form: HolevoForm, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -203,7 +202,7 @@ def channel_primitivity_index(form: HolevoForm, tol: Tolerances = DEFAULT_TOL,
             p_index=p, q_index=None, bound_abs_diff_ok=None,
             holevo_rank_bound_ok=None, q_method="bounds-only", q_window=window)
 
-    alive_states = _alive_table(form.states, form.n, tol)
+    alive_states = _alive_table(form.states, tol)
     q = None
     for m in range(window[0], window[1] + 1):
         if _positive_at(form, m, tol, alive_states).holds:

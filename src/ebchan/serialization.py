@@ -166,11 +166,6 @@ def parse_channel_document(text: str, tol: Tolerances = DEFAULT_TOL) -> HolevoFo
     return document_to_form(_loads(text, "channel document"), tol)
 
 
-def document_metadata(text: str):
-    doc = _loads(text, "channel document")
-    return doc.get("metadata") if isinstance(doc, dict) else None
-
-
 def parse_stochastic_file(text: str):
     """Read ``{"r": ..., "entries": [[...], ...]}`` into a float array (unvalidated)."""
     doc = _loads(text, "stochastic matrix file")

@@ -33,8 +33,8 @@ def test_full_suite_on_flip_example():
             "iterated_form", "nonzero_spectrum", "fixed_point_residual",
             "fixed_point_convergence", "primitivity_two_routes", "index_gap",
             "index_bound"} <= got
-    # the probe runs at m = q where positivity holds, so no witness is emitted
-    assert "witness_soundness" not in got
+    # q = 2, so the probe runs at m = 1, where positivity fails with a witness
+    assert "witness_soundness" in got
 
 
 def test_suite_on_non_primitive_channel():

@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 
-from ebchan.channel import (apply_linear, depolarizing, make_holevo_form,
-                            map_to_diagonal, stochastic_rep)
+from ebchan.channel import (apply_linear, depolarizing, iterated_form, make_holevo_form,
+                            map_to_diagonal, qc_from_stochastic, stochastic_rep)
 from ebchan import primitivity
 from ebchan.errors import SubsetCapExceeded
+from ebchan.linalg import DEFAULT_TOL, kernel_dim_psd, kernel_psd
 from ebchan.primitivity import (channel_primitivity_index, holevo_rank_bounds,
                                 is_primitive_channel,
                                 quantum_wielandt_comparison,
                                 strictly_positive_at, sum_R_positive_definite,
                                 sweep_positive_iterate)
 from ebchan.sampling import (random_channel, random_holevo_form, random_pure_state,
-                             random_qc_form)
+                             random_qc_form, wielandt_matrix)
 
 E00 = np.diag([1.0, 0.0]).astype(complex)
 E11 = np.diag([0.0, 1.0]).astype(complex)
@@ -162,9 +163,9 @@ def test_state_table_is_built_once_per_search(monkeypatch):
     form = primitive_qc_form(np.random.default_rng(37), 6)
     calls = []
 
-    def counting(mats, n, tol):
+    def counting(mats, tol):
         calls.append(all(a is b for a, b in zip(mats, form.states)))
-        return alive_table(mats, n, tol)
+        return alive_table(mats, tol)
 
     alive_table = primitivity._alive_table
     monkeypatch.setattr(primitivity, "_alive_table", counting)
@@ -248,3 +249,84 @@ def test_index_bounds_on_random_primitive_channels():
         assert abs(report.q_index - report.p_index) <= 1
         assert report.q_index <= r * r - 2 * r + 3
     assert seen > 0
+
+
+def _loop_split_scan(form, m, tol=DEFAULT_TOL):
+    """Reference split scan: hand-added subset sums and a Python loop over masks."""
+    n, r = form.n, form.r
+    full = (1 << r) - 1
+    states = list(form.states)
+    effects_m = list(iterated_form(form, m, tol).effects)
+
+    def subset_sum(mats, indices):
+        h = np.zeros((n, n), dtype=np.complex128)
+        for k in indices:
+            h = h + mats[k]
+        return h
+
+    def table(mats):
+        alive = np.zeros(1 << r, dtype=bool)
+        alive[0] = True
+        for mask in range(1, full + 1):
+            if alive[mask & (mask - 1)]:
+                members = [k for k in range(r) if mask >> k & 1]
+                alive[mask] = kernel_dim_psd(subset_sum(mats, members), tol) > 0
+        return alive
+
+    def kernel_vector(mats, indices):
+        if not indices:
+            e0 = np.zeros(n, dtype=np.complex128)
+            e0[0] = 1.0
+            return e0
+        return kernel_psd(subset_sum(mats, indices), tol)[:, 0]
+
+    alive_states, alive_g = table(states), table(effects_m)
+    for t_mask in range(full + 1):
+        if alive_states[t_mask] and alive_g[full ^ t_mask]:
+            subset = tuple(k for k in range(r) if t_mask >> k & 1)
+            complement = tuple(k for k in range(r) if not t_mask >> k & 1)
+            phi = kernel_vector(states, subset)
+            psi = kernel_vector(effects_m, complement)
+            value = float(sum((psi.conj() @ g @ psi).real * (phi.conj() @ rr @ phi).real
+                              for g, rr in zip(effects_m, states)))
+            return False, subset, psi, phi, value
+    return True, None, None, None, None
+
+
+def _split_scan_forms(rng):
+    forms = [random_qc_form(rng, int(rng.integers(2, 8)),
+                            zero_fraction=float(rng.uniform(0.3, 0.7)))
+             for _ in range(70)]
+    for _ in range(110):  # pure states, fewer than n, so the state sum is singular
+        n = int(rng.integers(3, 7))
+        r = int(rng.integers(2, n))
+        forms.append(random_holevo_form(rng, n, r, state_ranks=[1] * r))
+    for _ in range(30):  # relabelled Wielandt patterns with a random chord split
+        r = int(rng.integers(2, 9))
+        s = np.array(wielandt_matrix(r))
+        s[0, r - 1] = rng.uniform(0.1, 0.9)
+        s[1, r - 1] = 1.0 - s[0, r - 1]
+        perm = rng.permutation(r)
+        forms.append(qc_from_stochastic(s[np.ix_(perm, perm)]))
+    return forms
+
+
+def test_split_scan_matches_the_mask_loop():
+    # the stacked sums and the reversed-table lookup must reproduce the
+    # per-mask loop bit for bit, first split in increasing bitmask order
+    forms = _split_scan_forms(np.random.default_rng(61))
+    assert len(forms) >= 200 and max(form.r for form in forms) <= 8
+    negative = 0
+    for form in forms:
+        for m in (1, 2, 3):
+            holds, subset, state, direction, value = _loop_split_scan(form, m)
+            got = strictly_positive_at(form, m)
+            assert got.holds == holds and got.m == m and got.subset == subset
+            if holds:
+                assert got.state is got.direction is got.value is None
+                continue
+            negative += 1
+            assert np.array_equal(got.state, state)
+            assert np.array_equal(got.direction, direction)
+            assert got.value == value
+    assert negative >= 200
