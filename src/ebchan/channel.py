@@ -39,29 +39,29 @@ from .errors import (
     ValidationError,
     ZeroEffect,
 )
-from .linalg import DEFAULT_TOL, Tolerances, as_square, eig_general, eig_hermitian, vec
-from .stochastic import make_stochastic, stationary_distribution
+from .linalg import DEFAULT_TOL, Tolerances, as_square, eig_general, eig_hermitian
+from .stochastic import _solve_stationary, make_stochastic
 
 
 @dataclass(frozen=True)
 class HolevoForm:
-    """Validated channel data: system dimension plus matched effect/state lists.
+    """Validated channel data: system dimension plus the effect and state stacks.
 
-    Construct through :func:`make_holevo_form`; the fields are read-only
-    arrays and every operation on the form is pure. Derived quantities that
-    several analyses share are cached on the instance.
+    Construct through :func:`make_holevo_form`. Pair k is
+    (``effects[k]``, ``states[k]``); both fields are read-only complex
+    arrays of shape (r, n, n), so every contraction over the pair index runs
+    on them as they are, and code that wants pairs zips them. Every
+    operation on the form is pure. Derived quantities that several analyses
+    share are cached on the instance.
     """
 
     n: int
-    effects: tuple  # F_k, POVM effects, each n x n PSD, summing to I
-    states: tuple   # R_k, density matrices, one per effect
+    effects: np.ndarray  # F_k stacked (r, n, n): POVM effects, each PSD, summing to I
+    states: np.ndarray   # R_k stacked (r, n, n): density matrices, one per effect
 
     @property
     def r(self) -> int:
         return len(self.effects)
-
-    def pairs(self):
-        return list(zip(self.effects, self.states))
 
     @functools.cached_property
     def _action_range(self):
@@ -82,13 +82,6 @@ def _freeze(arr):
     out = np.array(arr, dtype=np.complex128)
     out.setflags(write=False)
     return out
-
-
-def _build_form(n, effects, states) -> HolevoForm:
-    # internal: callers guarantee validity (or deliberately relax it, see
-    # iterated_form, whose derived effects may vanish for some indices)
-    return HolevoForm(n=int(n), effects=tuple(map(_freeze, effects)),
-                      states=tuple(map(_freeze, states)))
 
 
 def _require_psd(m, n, tol: Tolerances, name, error, pair_index):
@@ -145,7 +138,7 @@ def make_holevo_form(n, pairs, tol: Tolerances = DEFAULT_TOL) -> HolevoForm:
     if defect > tol.stochastic_tol:
         raise NotPOVM(f"effects sum to I only within {defect:.3e}, tolerance "
                       f"{tol.stochastic_tol:.1e}")
-    return _build_form(n, effects, states)
+    return HolevoForm(n=n, effects=_freeze(effects), states=_freeze(states))
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +230,12 @@ def factorization(form: HolevoForm):
     """Tall/flat factors (A, B): column k of A is vec(R_k), row k of B is vec(F_k^T).
 
     A @ B reproduces the linear-action matrix and B @ A the stochastic
-    matrix of the form.
+    matrix of the form. Both are reshapes of the stacks; A is a read-only
+    view of the state stack.
     """
-    a = np.column_stack([vec(r) for r in form.states])
-    b = np.vstack([vec(f.T) for f in form.effects])
+    r, dim = form.r, form.n * form.n
+    a = form.states.reshape(r, dim).T
+    b = form.effects.transpose(0, 2, 1).reshape(r, dim)
     return a, b
 
 
@@ -257,9 +252,7 @@ def stochastic_rep(form: HolevoForm, tol: Tolerances = DEFAULT_TOL):
 
 
 def _induced_stochastic(form: HolevoForm, tol: Tolerances):
-    fs = np.stack(form.effects)
-    rs = np.stack(form.states)
-    s = np.einsum("iab,jba->ij", fs, rs).real
+    s = np.einsum("iab,jba->ij", form.effects, form.states).real
     try:
         return make_stochastic(s, tol)
     except ColumnSumViolation as exc:
@@ -273,7 +266,8 @@ def iterated_form(form: HolevoForm, m: int, tol: Tolerances = DEFAULT_TOL) -> Ho
     Powers of S are taken by repeated multiplication. The derived effects
     are PSD and sum to the identity, but individual ones may vanish when
     S^{m-1} has a zero row, so this constructor bypasses the zero-effect
-    check that applies to externally supplied forms.
+    check that applies to externally supplied forms. The result shares the
+    read-only state stack of ``form``.
     """
     if m < 1:
         raise ValueError(f"iteration count must be >= 1, got {m}")
@@ -283,9 +277,8 @@ def iterated_form(form: HolevoForm, m: int, tol: Tolerances = DEFAULT_TOL) -> Ho
     power = np.eye(form.r)
     for _ in range(m - 1):
         power = s @ power
-    fs = np.stack(form.effects)
-    effects = np.einsum("kj,jab->kab", power, fs)
-    return _build_form(form.n, list(effects), list(form.states))
+    effects = np.einsum("kj,jab->kab", power, form.effects)
+    return HolevoForm(n=form.n, effects=_freeze(effects), states=form.states)
 
 
 @dataclass(frozen=True)
@@ -298,14 +291,13 @@ class FixedPoint:
     """
 
     rho: np.ndarray
-    unique: bool
     residual: float
+    unique: bool
 
 
 def fixed_point(form: HolevoForm, tol: Tolerances = DEFAULT_TOL) -> FixedPoint:
     """Density-matrix fixed point sum_k pi_k R_k from a stationary pi of S."""
-    s = stochastic_rep(form, tol)
-    pi, unique = stationary_distribution(s, tol)
+    pi, unique = _solve_stationary(stochastic_rep(form, tol), tol)  # S is validated once
     rho = sum(p * r for p, r in zip(pi, form.states))
     residual = float(np.max(np.abs(apply_linear(form, rho) - rho)))
     return FixedPoint(rho=_freeze(rho), unique=unique, residual=residual)

@@ -34,9 +34,8 @@ from .primitivity import (ChannelPrimitivityReport, HolevoRankBounds,
                           channel_primitivity_index, holevo_rank_bounds)
 from .sampling import random_channel
 from .serialization import (_loads, document_to_form, emit_channel_document,
-                            matrix_to_literal, parse_channel_document,
-                            parse_kraus_file, parse_state_file,
-                            parse_stochastic_file)
+                            parse_channel_document, parse_kraus_file,
+                            parse_state_file, parse_stochastic_file)
 
 VECTOR_TRACK_TOL = 1e-10
 RESIDUAL_TOL = 1e-10
@@ -50,7 +49,12 @@ INTERNAL_FAILURES = (ConsistencyError, StationarySolveFailure, ConvergenceFailur
 
 @dataclasses.dataclass(frozen=True)
 class AnalysisReport:
-    """Everything the analyze command computes for one channel."""
+    """Everything the analyze command computes for one channel.
+
+    ``render_machine`` writes the fields, and those of the reports nested
+    in them, in the order they are declared here: that order is the key
+    order of the machine output.
+    """
 
     n: int
     r: int
@@ -59,7 +63,7 @@ class AnalysisReport:
     spectrum_comparison: SpectrumComparison
     primitivity: ChannelPrimitivityReport
     fixed_point: FixedPoint
-    rank_bounds: HolevoRankBounds
+    holevo_rank_bounds: HolevoRankBounds
     tolerances_used: Tolerances
 
 
@@ -73,7 +77,7 @@ def analyze_form(form: HolevoForm, tol: Tolerances = DEFAULT_TOL) -> AnalysisRep
         spectrum_comparison=compare_nonzero_spectrum(form, tol),
         primitivity=channel_primitivity_index(form, tol),
         fixed_point=fixed_point(form, tol),
-        rank_bounds=holevo_rank_bounds(form, tol),
+        holevo_rank_bounds=holevo_rank_bounds(form, tol),
         tolerances_used=tol)
 
 
@@ -90,7 +94,7 @@ def report_inconsistencies(report: AnalysisReport) -> list:
         problems.append("index gap |q - p| exceeds 1")
     if prim.holevo_rank_bound_ok is False:
         problems.append("channel index exceeds r^2 - 2r + 3")
-    if report.rank_bounds.lower > report.rank_bounds.upper:
+    if report.holevo_rank_bounds.lower > report.holevo_rank_bounds.upper:
         problems.append("rank lower bound exceeds pair count")
     return problems
 
@@ -151,7 +155,7 @@ def render_text(report: AnalysisReport, name=None) -> str:
     uniq = "unique" if fp.unique else "not unique"
     lines.append(f"fixed point ({uniq}, residual {fp.residual:.3e}):")
     lines.append(_fmt_matrix(fp.rho))
-    rb = report.rank_bounds
+    rb = report.holevo_rank_bounds
     lines.append(f"pair-count bounds: rank of action = {rb.lower}, pairs given = {rb.upper}, "
                  f"index bound from pairs = {rb.q_upper_from_rank}")
     problems = report_inconsistencies(report)
@@ -163,56 +167,27 @@ def render_text(report: AnalysisReport, name=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _complex_list(values) -> list:
-    return [[float(np.real(z)), float(np.imag(z))] for z in values]
+def _plain(value):
+    """A report value as JSON data.
+
+    A dataclass becomes an object with its keys in field order, a complex
+    array nested [re, im] pairs, any other array or numpy scalar its
+    ``tolist``, and a tuple a list.
+    """
+    if dataclasses.is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, (np.ndarray, np.generic)):
+        if np.iscomplexobj(value):
+            value = np.stack([value.real, value.imag], axis=-1)
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    return value
 
 
 def render_machine(report: AnalysisReport, name=None) -> str:
-    prim = report.primitivity
-    spec = report.spectrum_comparison
-    fp = report.fixed_point
-    rb = report.rank_bounds
-    tol = report.tolerances_used
-    doc = {
-        "n": report.n,
-        "r": report.r,
-        "stochastic_matrix": [list(map(float, row)) for row in report.stochastic_matrix],
-        "column_sum_residual": report.column_sum_residual,
-        "spectrum_comparison": {
-            "channel_nonzero": _complex_list(spec.channel_nonzero),
-            "matrix_nonzero": _complex_list(spec.matrix_nonzero),
-            "max_pair_distance": float(spec.max_pair_distance),
-            "matched": spec.matched,
-        },
-        "primitivity": {
-            "s_primitive": prim.s_primitive,
-            "sum_R_pd": prim.sum_R_pd,
-            "channel_primitive": prim.channel_primitive,
-            "p_index": prim.p_index,
-            "q_index": prim.q_index,
-            "bound_abs_diff_ok": prim.bound_abs_diff_ok,
-            "holevo_rank_bound_ok": prim.holevo_rank_bound_ok,
-            "q_method": prim.q_method,
-            "q_window": list(prim.q_window) if prim.q_window is not None else None,
-        },
-        "fixed_point": {
-            "rho": matrix_to_literal(fp.rho),
-            "residual": float(fp.residual),
-            "unique": fp.unique,
-        },
-        "holevo_rank_bounds": {
-            "lower": rb.lower,
-            "upper": rb.upper,
-            "q_upper_from_rank": rb.q_upper_from_rank,
-        },
-        "tolerances_used": {
-            "psd_tol": tol.psd_tol,
-            "zero_eig_tol": tol.zero_eig_tol,
-            "match_tol": tol.match_tol,
-            "stochastic_tol": tol.stochastic_tol,
-        },
-        "consistent": not report_inconsistencies(report),
-    }
+    doc = _plain(report)
+    doc["consistent"] = not report_inconsistencies(report)
     if name:
         doc["name"] = name
     return json.dumps(doc, indent=2) + "\n"
@@ -238,12 +213,9 @@ def _usage_error(message: str) -> int:
 
 def _tolerances_from(args) -> Tolerances:
     overrides = {}
-    if getattr(args, "psd_tol", None) is not None:
-        overrides["psd_tol"] = args.psd_tol
-    if getattr(args, "zero_eig_tol", None) is not None:
-        overrides["zero_eig_tol"] = args.zero_eig_tol
-    if getattr(args, "match_tol", None) is not None:
-        overrides["match_tol"] = args.match_tol
+    for name in ("psd_tol", "zero_eig_tol", "match_tol"):
+        if getattr(args, name, None) is not None:
+            overrides[name] = getattr(args, name)
     return dataclasses.replace(DEFAULT_TOL, **overrides) if overrides else DEFAULT_TOL
 
 

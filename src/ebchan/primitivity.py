@@ -7,10 +7,11 @@ sum ``sum_k R_k`` is positive definite. The exact channel index is found by
 an all-subsets kernel test on the iterated form, exploiting that for PSD
 operators the kernel of a sum is the intersection of the kernels.
 
-Each side of that test stacks its r validated PSD matrices as (r, n, n),
-and a subset sum is ``stack[members].sum(axis=0)``; built from checked
-pairs, it is not validated again before its kernel solve. The split scan is
-one AND of the state table with the reversed iterated-effect table.
+Each side of that test is an (r, n, n) stack of validated PSD matrices,
+the form's own state stack or the iterated effects, and a subset sum is
+``stack[members].sum(axis=0)``; built from checked pairs, it is not
+validated again before its kernel solve. The split scan is one AND of the
+state table with the reversed iterated-effect table.
 
 The state side of that test depends on the R_k alone, so
 ``channel_primitivity_index`` builds its subset table once per search and
@@ -48,7 +49,7 @@ def sum_R_positive_definite(form: HolevoForm, tol: Tolerances = DEFAULT_TOL) -> 
     When it is not, its kernel is shared by every R_k and no output of the
     channel can ever be invertible, ruling out primitivity.
     """
-    return is_pd(sum(form.states), tol)
+    return is_pd(form.states.sum(axis=0), tol)
 
 
 @dataclass(frozen=True)
@@ -74,14 +75,13 @@ class StrictPositivityResult:
         return self.holds
 
 
-def _alive_table(mats, tol):
-    """alive[mask] = True iff the sum of ``mats[k]`` over the bits k of ``mask`` has a kernel.
+def _alive_table(stack, tol):
+    """alive[mask] = True iff the sum of ``stack[k]`` over the bits k of ``mask`` has a kernel.
 
-    ``mats`` holds r validated PSD matrices, as a sequence or an (r, n, n)
-    stack. Downward closed: adding terms can only shrink the kernel, so a
-    dead parent (mask without its lowest bit) kills the mask without a solve.
+    ``stack`` holds r validated PSD matrices as an (r, n, n) array. Downward
+    closed: adding terms can only shrink the kernel, so a dead parent (mask
+    without its lowest bit) kills the mask without a solve.
     """
-    stack = np.asarray(mats)
     r = len(stack)
     alive = np.zeros(1 << r, dtype=bool)
     alive[0] = True  # empty sum is the zero matrix, kernel is everything
@@ -92,9 +92,8 @@ def _alive_table(mats, tol):
     return alive
 
 
-def _kernel_vector(mats, indices, tol):
-    """A unit vector in the kernel of the sum of ``mats[k]`` over ``indices``."""
-    stack = np.asarray(mats)
+def _kernel_vector(stack, indices, tol):
+    """A unit vector in the kernel of the sum of ``stack[k]`` over ``indices``."""
     if not indices:
         e0 = np.zeros(stack.shape[-1], dtype=np.complex128)
         e0[0] = 1.0
@@ -102,8 +101,8 @@ def _kernel_vector(mats, indices, tol):
     return kernel_psd(stack[list(indices)].sum(axis=0), tol)[:, 0]
 
 
-def strictly_positive_at(form: HolevoForm, m: int, tol: Tolerances = DEFAULT_TOL,
-                         subset_cap: int = SUBSET_CAP) -> StrictPositivityResult:
+def strictly_positive_at(form: HolevoForm, m: int,
+                         tol: Tolerances = DEFAULT_TOL) -> StrictPositivityResult:
     """Decide whether channel^m sends every density matrix to a PD matrix.
 
     channel^m(psi psi*) fails to be PD exactly when some direction phi and
@@ -114,11 +113,12 @@ def strictly_positive_at(form: HolevoForm, m: int, tol: Tolerances = DEFAULT_TOL
     first triggering split in increasing-bitmask order, so it is
     deterministic regardless of evaluation schedule. This builds the
     state-side table on every call; ``channel_primitivity_index`` builds it
-    once and reuses it for each m it tests.
+    once and reuses it for each m it tests. Raises SubsetCapExceeded when
+    r exceeds ``SUBSET_CAP``.
     """
-    if form.r > subset_cap:
+    if form.r > SUBSET_CAP:
         raise SubsetCapExceeded(
-            f"r = {form.r} exceeds the exact-enumeration cap {subset_cap}")
+            f"r = {form.r} exceeds the exact-enumeration cap {SUBSET_CAP}")
     return _positive_at(form, m, tol, _alive_table(form.states, tol))
 
 
@@ -155,8 +155,8 @@ class ChannelPrimitivityReport:
 
     ``p_index`` is the matrix index, ``q_index`` the channel index (None
     when not primitive, or when ``q_method`` is 'bounds-only' because r
-    exceeded the exact-enumeration cap; ``q_window`` then carries the
-    guaranteed interval [max(1, p-1), p+1]).
+    exceeded the exact-enumeration cap ``SUBSET_CAP``; ``q_window`` then
+    carries the guaranteed interval [max(1, p-1), p+1]).
     """
 
     s_primitive: bool
@@ -170,8 +170,8 @@ class ChannelPrimitivityReport:
     q_window: tuple | None
 
 
-def channel_primitivity_index(form: HolevoForm, tol: Tolerances = DEFAULT_TOL,
-                              subset_cap: int = SUBSET_CAP) -> ChannelPrimitivityReport:
+def channel_primitivity_index(form: HolevoForm,
+                              tol: Tolerances = DEFAULT_TOL) -> ChannelPrimitivityReport:
     """Exact channel primitivity index via the subset test.
 
     The search runs over the guaranteed window [max(1, p-1), p+1];
@@ -196,7 +196,7 @@ def channel_primitivity_index(form: HolevoForm, tol: Tolerances = DEFAULT_TOL,
             q_method="exact", q_window=None)
 
     window = (max(1, p - 1), p + 1)
-    if form.r > subset_cap:
+    if form.r > SUBSET_CAP:
         return ChannelPrimitivityReport(
             s_primitive=True, sum_R_pd=True, channel_primitive=True,
             p_index=p, q_index=None, bound_abs_diff_ok=None,
@@ -279,8 +279,7 @@ def quantum_wielandt_comparison(form: HolevoForm, d: int) -> IndexBoundCompariso
         q_bound_quantum=(n * n - d + 1) * n * n)
 
 
-def sweep_positive_iterate(form: HolevoForm, tol: Tolerances = DEFAULT_TOL,
-                           subset_cap: int = SUBSET_CAP):
+def sweep_positive_iterate(form: HolevoForm, tol: Tolerances = DEFAULT_TOL):
     """Definition-level primitivity oracle: scan m = 1 .. r^2 - 2r + 3.
 
     Returns (primitive, least m) by testing strict positivity directly at
@@ -292,6 +291,6 @@ def sweep_positive_iterate(form: HolevoForm, tol: Tolerances = DEFAULT_TOL,
     """
     cap = wielandt_bound(form.r) + 1
     for m in range(1, cap + 1):
-        if strictly_positive_at(form, m, tol, subset_cap).holds:
+        if strictly_positive_at(form, m, tol).holds:
             return True, m
     return False, None

@@ -97,6 +97,13 @@ def literal_to_matrix(lit, where: str):
     return np.array(rows, dtype=np.complex128)
 
 
+def _positive_int(doc: dict, key: str) -> int:
+    value = doc.get(key)
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValidationError(f"'{key}' must be a positive integer, got {value!r}")
+    return value
+
+
 def _loads(text: str, what: str):
     try:
         return json.loads(text)
@@ -110,7 +117,7 @@ def form_to_document(form: HolevoForm, metadata=None) -> dict:
         "format_version": FORMAT_VERSION,
         "n": form.n,
         "pairs": [{"F": matrix_to_literal(f), "R": matrix_to_literal(r)}
-                  for f, r in form.pairs()],
+                  for f, r in zip(form.effects, form.states)],
     }
     if metadata:
         doc["metadata"] = dict(metadata)
@@ -128,9 +135,7 @@ def document_to_form(doc, tol: Tolerances = DEFAULT_TOL) -> HolevoForm:
     if version != FORMAT_VERSION:
         raise ValidationError(f"unsupported format_version {version!r}, "
                               f"expected {FORMAT_VERSION!r}")
-    n = doc.get("n")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValidationError(f"'n' must be a positive integer, got {n!r}")
+    n = _positive_int(doc, "n")
     pairs_field = doc.get("pairs")
     if not isinstance(pairs_field, list) or not pairs_field:
         raise ValidationError("'pairs' must be a nonempty list")
@@ -171,9 +176,7 @@ def parse_stochastic_file(text: str):
     doc = _loads(text, "stochastic matrix file")
     if not isinstance(doc, dict):
         raise ValidationError("stochastic matrix file must be a JSON object")
-    r = doc.get("r")
-    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
-        raise ValidationError(f"'r' must be a positive integer, got {r!r}")
+    r = _positive_int(doc, "r")
     entries = doc.get("entries")
     if (not isinstance(entries, list) or len(entries) != r
             or any(not isinstance(row, list) or len(row) != r for row in entries)):
@@ -195,9 +198,7 @@ def parse_state_file(text: str, tol: Tolerances = DEFAULT_TOL):
     doc = _loads(text, "state file")
     if not isinstance(doc, dict):
         raise ValidationError("state file must be a JSON object")
-    n = doc.get("n")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValidationError(f"'n' must be a positive integer, got {n!r}")
+    n = _positive_int(doc, "n")
     rho = literal_to_matrix(doc.get("rho"), "rho")
     return require_density(rho, n, tol, name="rho")
 
@@ -212,9 +213,7 @@ def parse_kraus_file(text: str):
     doc = _loads(text, "Kraus file")
     if not isinstance(doc, dict):
         raise ValidationError("Kraus file must be a JSON object")
-    n = doc.get("n")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValidationError(f"'n' must be a positive integer, got {n!r}")
+    n = _positive_int(doc, "n")
     ops_field = doc.get("operators")
     if not isinstance(ops_field, list) or not ops_field:
         raise ValidationError("'operators' must be a nonempty list of matrix literals")

@@ -93,7 +93,11 @@ def stationary_distribution(s, tol: Tolerances = DEFAULT_TOL):
     clamps round-off negatives. ``unique`` reports whether the numerical
     eigenvalue-1 eigenspace of S (null space of S - I) is one-dimensional.
     """
-    arr = make_stochastic(s, tol)
+    return _solve_stationary(make_stochastic(s, tol), tol)
+
+
+def _solve_stationary(arr, tol: Tolerances):
+    """``stationary_distribution`` for an S that ``make_stochastic`` already returned."""
     r = arr.shape[0]
     lhs = np.vstack([arr - np.eye(r), np.ones((1, r))])
     rhs = np.zeros(r + 1)

@@ -41,14 +41,14 @@ def assert_matches_dense(form):
 def duplicated_pair_form(rng, n, r):
     """Form whose first pair is split in two equal halves: r + 1 pairs, rank <= r."""
     base = random_holevo_form(rng, n, r)
-    (f, rho), rest = base.pairs()[0], base.pairs()[1:]
+    (f, rho), *rest = zip(base.effects, base.states)
     return make_holevo_form(n, [(f / 2, rho), (f / 2, rho)] + rest)
 
 
 def shared_state_form(rng, n, r):
     """Form whose first two pairs steer to the same state: rank <= r - 1."""
     base = random_holevo_form(rng, n, r)
-    pairs = base.pairs()
+    pairs = list(zip(base.effects, base.states))
     pairs[1] = (pairs[1][0], pairs[0][1])
     return make_holevo_form(n, pairs)
 

@@ -69,6 +69,15 @@ def test_form_matrices_read_only():
         form.effects[0][0, 0] = 2.0
 
 
+def test_form_holds_read_only_stacks():
+    form = example_two()
+    for stack in (form.effects, form.states):
+        assert stack.shape == (3, 2, 2) and stack.dtype == np.complex128
+        with pytest.raises(ValueError):
+            stack[1, 0, 0] = 2.0
+    assert iterated_form(form, 3).states is form.states
+
+
 # --- action ---
 
 def test_apply_depolarizing():

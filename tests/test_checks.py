@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from ebchan import channel, checks
-from ebchan.channel import depolarizing, make_holevo_form, map_to_diagonal
+from ebchan import channel, checks, stochastic
+from ebchan.channel import (depolarizing, fixed_point, make_holevo_form, map_to_diagonal,
+                            stochastic_rep)
 from ebchan.checks import CheckResult, all_passed, run_channel_checks
 from ebchan.linalg import DEFAULT_TOL, Tolerances
 from ebchan.sampling import random_channel
@@ -148,6 +149,17 @@ def test_channel_actions_per_check_run(monkeypatch, n):
         del calls[:]
         assert all_passed(run_channel_checks(form, rng=rng))  # range now cached
         assert len(calls) <= n * n + 9
+
+
+def test_fixed_point_reads_the_validated_stochastic_matrix(monkeypatch):
+    # stochastic_rep validates S when it builds it; fixed_point solves on that copy
+    calls = count_calls(monkeypatch, stochastic, "make_stochastic", channel)
+    for form in (random_channel(np.random.default_rng(65), 3, 4),
+                 make_holevo_form(2, [(PLUS, E00), (MINUS, E11)])):
+        stochastic_rep(form)
+        del calls[:]
+        fixed_point(form)
+        assert calls == []
 
 
 def test_stochastic_matrix_is_computed_once_per_form_and_tolerances(monkeypatch):

@@ -119,6 +119,28 @@ def test_analyze_machine_example_one(example_one_file, capsys):
     assert np.allclose(doc["stochastic_matrix"], [[0.5, 0.5], [0.5, 0.5]], atol=1e-12)
 
 
+def test_machine_report_key_order(example_one_file, capsys):
+    # the keys follow the field order of the report dataclasses; pinned so that
+    # reordering a field fails here instead of changing the output unnoticed
+    assert main(["analyze", example_one_file, "--format", "machine"]) == 0
+    doc = machine_report(capsys)
+    assert list(doc) == ["n", "r", "stochastic_matrix", "column_sum_residual",
+                         "spectrum_comparison", "primitivity", "fixed_point",
+                         "holevo_rank_bounds", "tolerances_used", "consistent", "name"]
+    assert list(doc["spectrum_comparison"]) == ["channel_nonzero", "matrix_nonzero",
+                                                "max_pair_distance", "matched"]
+    assert list(doc["primitivity"]) == ["s_primitive", "sum_R_pd", "channel_primitive",
+                                        "p_index", "q_index", "bound_abs_diff_ok",
+                                        "holevo_rank_bound_ok", "q_method", "q_window"]
+    assert list(doc["fixed_point"]) == ["rho", "residual", "unique"]
+    assert list(doc["holevo_rank_bounds"]) == ["lower", "upper", "q_upper_from_rank"]
+    assert list(doc["tolerances_used"]) == ["psd_tol", "zero_eig_tol", "match_tol",
+                                            "stochastic_tol"]
+    assert doc["primitivity"]["q_window"] == [1, 2]
+    assert np.shape(doc["fixed_point"]["rho"]) == (2, 2, 2)  # [re, im] per entry
+    assert np.shape(doc["spectrum_comparison"]["channel_nonzero"]) == (1, 2)
+
+
 def test_analyze_machine_example_two(example_two_file, capsys):
     assert main(["analyze", example_two_file, "--format", "machine"]) == 0
     doc = machine_report(capsys)

@@ -6,8 +6,8 @@ from ebchan.channel import (apply_linear, depolarizing, iterated_form, make_hole
 from ebchan import primitivity
 from ebchan.errors import SubsetCapExceeded
 from ebchan.linalg import DEFAULT_TOL, kernel_dim_psd, kernel_psd
-from ebchan.primitivity import (channel_primitivity_index, holevo_rank_bounds,
-                                is_primitive_channel,
+from ebchan.primitivity import (SUBSET_CAP, channel_primitivity_index,
+                                holevo_rank_bounds, is_primitive_channel,
                                 quantum_wielandt_comparison,
                                 strictly_positive_at, sum_R_positive_definite,
                                 sweep_positive_iterate)
@@ -95,9 +95,16 @@ def test_empty_subset_never_triggers_full_set_iff_singular_sum():
                 assert not sum_R_positive_definite(form)
 
 
+def above_cap_form():
+    # SUBSET_CAP + 1 pairs with an entrywise-positive S: p = 1, window (1, 2)
+    r = SUBSET_CAP + 1
+    s = np.random.default_rng(38).uniform(0.5, 1.5, (r, r))
+    return qc_from_stochastic(s / s.sum(axis=0))
+
+
 def test_subset_cap_exceeded():
     with pytest.raises(SubsetCapExceeded):
-        strictly_positive_at(example_one(), 1, subset_cap=1)
+        strictly_positive_at(above_cap_form(), 1)
 
 
 def test_is_primitive_channel_examples():
@@ -164,7 +171,7 @@ def test_state_table_is_built_once_per_search(monkeypatch):
     calls = []
 
     def counting(mats, tol):
-        calls.append(all(a is b for a, b in zip(mats, form.states)))
+        calls.append(mats is form.states)
         return alive_table(mats, tol)
 
     alive_table = primitivity._alive_table
@@ -176,10 +183,11 @@ def test_state_table_is_built_once_per_search(monkeypatch):
 
 
 def test_bounds_only_above_cap():
-    report = channel_primitivity_index(example_two(), subset_cap=2)
+    report = channel_primitivity_index(above_cap_form())
     assert report.q_method == "bounds-only"
     assert report.q_index is None
-    assert report.q_window == (1, 3)
+    assert report.p_index == 1
+    assert report.q_window == (1, 2)
     assert report.channel_primitive
 
 
