@@ -43,7 +43,7 @@ from .linalg import DEFAULT_TOL, Tolerances, as_square, eig_general, eig_hermiti
 from .stochastic import _solve_stationary, make_stochastic
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HolevoForm:
     """Validated channel data: system dimension plus the effect and state stacks.
 
@@ -52,7 +52,8 @@ class HolevoForm:
     arrays of shape (r, n, n), so every contraction over the pair index runs
     on them as they are, and code that wants pairs zips them. Every
     operation on the form is pure. Derived quantities that several analyses
-    share are cached on the instance.
+    share are cached on the instance. Forms compare and hash by identity:
+    two forms built from equal data are distinct objects with distinct caches.
     """
 
     n: int
@@ -195,15 +196,23 @@ def natural_rep(form: HolevoForm):
     """n^2 x n^2 matrix of the channel on row-major vectorized operators.
 
     Column (i, j) is the vectorized image of the matrix unit E_ij, so
-    ``vec(channel(X)) == natural_rep @ vec(X)`` for every X. The ``analyze``
-    path streams the same columns in blocks through ``_range_basis`` and
-    stores no n^2 x n^2 array; it calls this only on the exact route
-    (r >= n^2, or a failed residual check).
+    ``vec(channel(X)) == natural_rep @ vec(X)`` for every X. The matrix
+    units go through ``apply_linear`` as stacks of ``_REP_BLOCK``, one call
+    per stack, and K is filled block by block, so the memory held is K plus
+    one block's temporaries. Each trace tr(F_k E_ij) has one nonzero term,
+    so the columns are bitwise those of one call per unit. The ``analyze``
+    path streams the same columns through ``_range_basis`` and stores no
+    n^2 x n^2 array; it calls this only on the exact route (r >= n^2, or a
+    failed residual check).
     """
-    dim = form.n * form.n
+    n = form.n
+    dim = n * n
     rep = np.empty((dim, dim), dtype=np.complex128)
-    for start, block in _rep_blocks(form):
-        rep[:, start:start + block.shape[1]] = block
+    for start in range(0, dim, _REP_BLOCK):
+        width = min(_REP_BLOCK, dim - start)
+        units = np.eye(width, dim, k=start, dtype=np.complex128)  # row c is vec(E_{start+c})
+        images = apply_linear(form, units.reshape(width, n, n))
+        rep[:, start:start + width] = images.reshape(width, dim).T
     return rep
 
 
@@ -222,8 +231,17 @@ def _choi_from_rep(rep, n: int):
 
 
 def choi_pair_sum(form: HolevoForm):
-    """Alternative Choi assembly sum_k transpose(F_k) (x) R_k."""
-    return sum(np.kron(f.T, r) for f, r in zip(form.effects, form.states))
+    """Alternative Choi assembly sum_k transpose(F_k) (x) R_k, added in k order.
+
+    Each term is the Kronecker product written as one broadcast product,
+    ``[i*n + a, j*n + b] = F_k[j, i] * R_k[a, b]``: the same elementwise
+    products as ``np.kron``, so the sum is bitwise the sum of the krons.
+    """
+    n = form.n
+    total = np.zeros((n * n, n * n), dtype=np.complex128)
+    for f, r in zip(form.effects, form.states):
+        total += (f.T[:, None, :, None] * r[None, :, None, :]).reshape(n * n, n * n)
+    return total
 
 
 def factorization(form: HolevoForm):

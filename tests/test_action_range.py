@@ -155,14 +155,32 @@ def test_range_never_holds_the_natural_rep():
 
 
 def test_natural_rep_applies_the_channel_once_per_matrix_unit(monkeypatch):
-    # K must come from the channel's action, not from the factors A and B
-    units = []
+    # K must come from the channel's action, not from the factors A and B;
+    # the units go in stacks of 64, so n = 9 (81 units) takes two calls
+    operands = []
     apply_linear = channel.apply_linear
 
     def counting(form, x):
-        units.append(np.flatnonzero(x).tolist())
+        operands.append(np.array(x))
         return apply_linear(form, x)
 
     monkeypatch.setattr(channel, "apply_linear", counting)
-    natural_rep(random_holevo_form(np.random.default_rng(9), 4, 3))
-    assert units == [[k] for k in range(16)]
+    for n in (4, 9):
+        del operands[:]
+        natural_rep(random_holevo_form(np.random.default_rng(9), n, 3))
+        units = np.eye(n * n).reshape(n * n, n, n)  # unit k has its 1 at flat index k
+        assert len(operands) == -(-n * n // 64)
+        assert np.array_equal(np.concatenate(operands), units)
+
+
+def test_natural_rep_holds_one_block_of_temporaries():
+    # K plus one stack of 64 units: a single (n^2, n, n) stack would hold about 5 K
+    n = 24
+    form = random_holevo_form(np.random.default_rng(25), n, 4)
+    tracemalloc.start()
+    try:
+        natural_rep(form)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 16 * n ** 4  # K alone takes 16 n^4 bytes, 5.3 MB here

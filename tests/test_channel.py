@@ -78,6 +78,14 @@ def test_form_holds_read_only_stacks():
     assert iterated_form(form, 3).states is form.states
 
 
+def test_forms_compare_and_hash_by_identity():
+    form, copy = depolarizing(2), depolarizing(2)
+    assert form == form
+    assert form != copy  # equal data, distinct objects with distinct caches
+    assert len({form, copy, form}) == 2
+    assert {form: 1}[form] == 1
+
+
 # --- action ---
 
 def test_apply_depolarizing():
@@ -188,6 +196,32 @@ def test_natural_rep_extends_apply():
         lhs = vec(apply_linear(form, x))
         rhs = rep @ vec(x)
         assert np.max(np.abs(lhs - rhs)) <= 1e-10 * (1.0 + np.max(np.abs(x)))
+
+
+def per_unit_natural_rep(form):
+    # reference: one channel action per matrix unit, column i * n + j at a time
+    n = form.n
+    rep = np.empty((n * n, n * n), dtype=np.complex128)
+    for col in range(n * n):
+        unit = np.zeros(n * n, dtype=np.complex128)
+        unit[col] = 1.0
+        rep[:, col] = apply_linear(form, unit.reshape(n, n)).reshape(-1)
+    return rep
+
+
+def kron_choi_pair_sum(form):
+    return sum(np.kron(f.T, r) for f, r in zip(form.effects, form.states))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_stacked_pictures_are_bitwise_the_reference_loops(n):
+    # n = 9 stacks the 81 matrix units in two blocks; the diagonal map's
+    # zero entries pin the signs of zero too
+    rng = np.random.default_rng(26 + n)
+    for form in (random_holevo_form(rng, n, 1), random_holevo_form(rng, n, 4),
+                 map_to_diagonal(n)):
+        assert natural_rep(form).tobytes() == per_unit_natural_rep(form).tobytes()
+        assert choi_pair_sum(form).tobytes() == kron_choi_pair_sum(form).tobytes()
 
 
 def test_choi_depolarizing():

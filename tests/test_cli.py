@@ -240,6 +240,24 @@ def test_verify_random(capsys):
     assert "all invariants pass" in out
 
 
+# (n, r) of the 40 channels `verify --random 40 --seed 3` draws. Channel
+# generation and the checks share one stream, so each size depends on every
+# draw the checks made before it.
+VERIFY_SEED3_SIZES = [
+    (3, 1), (2, 1), (3, 1), (3, 2), (3, 2), (3, 3), (2, 4), (2, 5), (3, 1), (3, 2),
+    (2, 4), (3, 2), (2, 3), (2, 1), (3, 4), (3, 3), (3, 2), (2, 1), (3, 3), (3, 4),
+    (3, 3), (2, 3), (2, 4), (3, 1), (3, 3), (2, 2), (3, 2), (3, 3), (3, 1), (2, 2),
+    (3, 3), (2, 2), (2, 3), (2, 5), (2, 5), (3, 2), (3, 3), (2, 5), (2, 2), (3, 5),
+]
+
+
+def test_verify_random_keeps_its_stream(capsys):
+    assert main(["verify", "--random", "40", "--seed", "3"]) == 0
+    expected = [f"random[{i}] (n = {n}, r = {r}): ok"
+                for i, (n, r) in enumerate(VERIFY_SEED3_SIZES)]
+    assert capsys.readouterr().out.splitlines() == expected + ["all invariants pass"]
+
+
 def test_verify_bad_document(tmp_path, capsys):
     path = tmp_path / "notpovm.json"
     path.write_text(json.dumps({
