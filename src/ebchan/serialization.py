@@ -16,6 +16,12 @@ bit-identical numbers.
 Auxiliary formats: stochastic matrix files ``{"r": ..., "entries": [[...]]}``
 (row-major real entries), state files ``{"n": ..., "rho": <matrix>}`` and
 Kraus files ``{"n": ..., "operators": [<matrix>, ...]}``.
+
+Every number in every format (each ``re``, ``im`` and stochastic entry) is
+a JSON integer or float, never ``true``/``false`` or a string, and an
+integer must lie within float range (|x| below about 1.8e308). A leaf that
+breaks the rule is reported by its (row, column) entry. NaN and infinities
+parse, and the matrix checks that follow reject them.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ __all__ = [
 ]
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -35,6 +42,7 @@ from .errors import DocumentSyntaxError, ValidationError
 from .linalg import DEFAULT_TOL, Tolerances
 
 FORMAT_VERSION = "1"
+_NUMBER_TYPES = {int, float}
 
 
 def _is_number(x) -> bool:
@@ -60,8 +68,7 @@ def _render_json(obj, indent: int = 0) -> str:
         if not obj:
             return "[]"
         if _inline_list(obj):
-            return "[" + ", ".join(json.dumps(x) if _is_number(x) else _render_json(x)
-                                   for x in obj) + "]"
+            return json.dumps(obj)
         items = [f"{pad}  {_render_json(x, indent + 1)}" for x in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     return json.dumps(obj)
@@ -70,14 +77,37 @@ def _render_json(obj, indent: int = 0) -> str:
 def matrix_to_literal(arr):
     """n x m complex array -> nested lists of [re, im] pairs."""
     a = np.asarray(arr, dtype=np.complex128)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in a]
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
-def literal_to_matrix(lit, where: str):
-    """Nested [re, im] lists -> complex array, with located failures."""
-    if not isinstance(lit, list) or not lit:
-        raise ValidationError(f"{where}: expected a nonempty list of rows")
-    rows = []
+def _numbers_only(values) -> bool:
+    """Whether every value is an int or a float, not a bool, in one C-level pass."""
+    return set(map(type, values)) <= _NUMBER_TYPES
+
+
+def _float_array(leaves: list, where: str, width: int, per_entry: int = 1):
+    """Numeric leaves -> one flat float64 array, by one ``np.array`` call.
+
+    numpy converts an int exactly as ``float(int)`` does and raises
+    OverflowError where it does; that becomes a ValidationError naming the
+    entry (i, j) of a row-major literal ``width`` entries wide, each entry
+    ``per_entry`` leaves long.
+    """
+    try:
+        return np.array(leaves, dtype=np.float64)
+    except OverflowError:
+        for k, x in enumerate(leaves):
+            try:
+                float(x)
+            except OverflowError:
+                i, j = divmod(k // per_entry, width)
+                raise ValidationError(
+                    f"{where}: entry ({i},{j}) is outside the float range") from None
+        raise
+
+
+def _scan_literal(lit, where: str) -> None:
+    """Walk a matrix literal entry by entry and raise at its first fault."""
     width = None
     for i, row in enumerate(lit):
         if not isinstance(row, list) or not row:
@@ -86,15 +116,32 @@ def literal_to_matrix(lit, where: str):
             width = len(row)
         elif len(row) != width:
             raise ValidationError(f"{where}: row {i} has {len(row)} entries, expected {width}")
-        entries = []
         for j, cell in enumerate(row):
-            if (not isinstance(cell, list) or len(cell) != 2
-                    or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                               for x in cell)):
+            if not isinstance(cell, list) or len(cell) != 2 or not all(map(_is_number, cell)):
                 raise ValidationError(f"{where}: entry ({i},{j}) is not a [re, im] pair")
-            entries.append(complex(cell[0], cell[1]))
-        rows.append(entries)
-    return np.array(rows, dtype=np.complex128)
+
+
+def literal_to_matrix(lit, where: str):
+    """Nested [re, im] lists -> complex array, with located failures.
+
+    A well-formed literal is checked in a few whole-literal passes and
+    converted by one ``np.array`` call; the entry-by-entry walk runs only
+    when a check fails, to name the first bad row or entry.
+    """
+    if not isinstance(lit, list) or not lit:
+        raise ValidationError(f"{where}: expected a nonempty list of rows")
+    leaves = None
+    if set(map(type, lit)) == {list} and len(set(map(len, lit))) == 1 and lit[0]:
+        cells = list(chain.from_iterable(lit))
+        if set(map(type, cells)) == {list} and set(map(len, cells)) == {2}:
+            leaves = list(chain.from_iterable(cells))
+    if leaves is None or not _numbers_only(leaves):
+        _scan_literal(lit, where)
+        # reached past the walk only by list or number subclasses, which it accepts
+        leaves = list(chain.from_iterable(chain.from_iterable(lit)))
+    width = len(lit[0])
+    flat = _float_array(leaves, where, width, per_entry=2)
+    return flat.view(np.complex128).reshape(len(lit), width)
 
 
 def _positive_int(doc: dict, key: str) -> int:
@@ -181,16 +228,20 @@ def parse_stochastic_file(text: str):
     if (not isinstance(entries, list) or len(entries) != r
             or any(not isinstance(row, list) or len(row) != r for row in entries)):
         raise ValidationError(f"'entries' must be an {r} x {r} array of arrays")
-    try:
-        return np.array(entries, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"'entries' must hold real numbers: {exc}") from exc
+    where = "'entries' must hold real numbers"
+    leaves = list(chain.from_iterable(entries))
+    if not _numbers_only(leaves):
+        for k, x in enumerate(leaves):
+            if not _is_number(x):
+                i, j = divmod(k, r)
+                raise ValidationError(f"{where}: entry ({i},{j}) is not a number")
+    return _float_array(leaves, where, r).reshape(r, r)
 
 
 def stochastic_to_file(s) -> str:
     arr = np.asarray(s, dtype=np.float64)
     return _render_json({"r": arr.shape[0],
-                         "entries": [list(map(float, row)) for row in arr]}) + "\n"
+                         "entries": arr.tolist()}) + "\n"
 
 
 def parse_state_file(text: str, tol: Tolerances = DEFAULT_TOL):

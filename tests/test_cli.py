@@ -347,6 +347,55 @@ def test_analyze_rejects_nan_entry(tmp_path, capsys):
     assert "NaN or infinite" in capsys.readouterr().err
 
 
+HUGE = 10 ** 400  # a JSON integer no float can hold
+
+
+def test_analyze_rejects_integer_beyond_float_range(tmp_path, capsys):
+    doc = json.loads(emit_channel_document(depolarizing(2)))
+    doc["pairs"][0]["R"][1][0] = [0, HUGE]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path)]) == 2
+    assert "error: pairs[0].R: entry (1,0) is outside the float range" in capsys.readouterr().err
+
+
+def test_iterate_rejects_state_integer_beyond_float_range(example_one_file, tmp_path, capsys):
+    state = tmp_path / "huge.json"
+    state.write_text(json.dumps({"n": 2, "rho": [[[1, 0], [0, 0]], [[0, 0], [-HUGE, 0]]]}))
+    assert main(["iterate", example_one_file, "--state", str(state), "--steps", "1"]) == 2
+    assert "error: rho: entry (1,1) is outside the float range" in capsys.readouterr().err
+
+
+def test_build_from_kraus_rejects_integer_beyond_float_range(tmp_path, capsys):
+    src = tmp_path / "kraus.json"
+    src.write_text(json.dumps({"n": 2, "operators": [
+        matrix_to_literal(E00), [[[0, 0], [0, 0]], [[0, 0], [1, HUGE]]]]}))
+    assert main(["build", "from-kraus", "--kraus", str(src)]) == 2
+    assert ("error: operators[1]: entry (1,1) is outside the float range"
+            in capsys.readouterr().err)
+
+
+def test_build_qc_rejects_integer_beyond_float_range(tmp_path, capsys):
+    src = tmp_path / "s.json"
+    src.write_text(json.dumps({"r": 2, "entries": [[1, 0], [HUGE, 1]]}))
+    assert main(["build", "qc", "--stochastic", str(src)]) == 2
+    assert ("error: 'entries' must hold real numbers: entry (1,0) is outside the float range"
+            in capsys.readouterr().err)
+
+
+def test_build_qc_rejects_booleans_and_strings(tmp_path, capsys):
+    src = tmp_path / "s.json"
+    src.write_text('{"r": 2, "entries": [[true, "0"], [false, "1"]]}')
+    assert main(["build", "qc", "--stochastic", str(src)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: 'entries' must hold real numbers: entry (0,0) is not a number" in captured.err
+
+    src.write_text('{"r": 2, "entries": [[1.0, 0], [0, "1"]]}')
+    assert main(["build", "qc", "--stochastic", str(src)]) == 2
+    assert "entry (1,1) is not a number" in capsys.readouterr().err
+
+
 def test_every_exported_name_resolves():
     assert len(set(ebchan.__all__)) == len(ebchan.__all__)
     for name in ebchan.__all__:

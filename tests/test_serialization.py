@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from ebchan import serialization
 from ebchan.channel import depolarizing, make_holevo_form
 from ebchan.errors import (DocumentSyntaxError, NotDensity, ValidationError,
                            ZeroEffect)
@@ -58,6 +59,50 @@ def test_matrix_literal_round_trip():
     assert np.array_equal(literal_to_matrix(lit, "m"), m)
 
 
+def reference_matrix_to_literal(arr):
+    """The entry-by-entry emitter, kept as the oracle."""
+    a = np.asarray(arr, dtype=np.complex128)
+    return [[[float(z.real), float(z.imag)] for z in row] for row in a]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_emitted_text_matches_the_per_entry_emitter(n, monkeypatch):
+    rng = np.random.default_rng(400 + n)
+    forms = [random_channel(rng, n, r) for r in (1, 2, n + 1)] + [depolarizing(n)]
+    rho = forms[0].states[0]
+    texts = [emit_channel_document(form, {"name": f"n{n}"}) for form in forms]
+    texts.append(state_to_file(rho))
+    monkeypatch.setattr(serialization, "matrix_to_literal", reference_matrix_to_literal)
+    assert texts == [emit_channel_document(form, {"name": f"n{n}"}) for form in forms] + [
+        state_to_file(rho)]
+
+
+def test_emitted_layout_is_pinned():
+    # [re, im] pairs and numeric rows sit on one line; everything else is indented
+    assert example_one_document() == (
+        '{\n  "format_version": "1",\n  "n": 2,\n  "pairs": [\n    {\n      "F": [\n'
+        '        [[0.5, 0.0], [0.5, 0.0]],\n        [[0.5, 0.0], [0.5, 0.0]]\n      ],\n'
+        '      "R": [\n        [[1.0, 0.0], [0.0, 0.0]],\n        [[0.0, 0.0], [0.0, 0.0]]\n'
+        '      ]\n    },\n    {\n      "F": [\n        [[0.5, 0.0], [-0.5, 0.0]],\n'
+        '        [[-0.5, 0.0], [0.5, 0.0]]\n      ],\n      "R": [\n'
+        '        [[0.0, 0.0], [0.0, 0.0]],\n        [[0.0, 0.0], [1.0, 0.0]]\n      ]\n'
+        '    }\n  ],\n  "metadata": {\n    "name": "projective-flip"\n  }\n}\n')
+    assert stochastic_to_file(np.array([[0.5, 1.0], [0.5, 0.0]])) == (
+        '{\n  "r": 2,\n  "entries": [[0.5, 1.0], [0.5, 0.0]]\n}\n')
+    assert state_to_file(np.array([[0.75, 0.25j], [-0.25j, 0.25]])) == (
+        '{\n  "n": 2,\n  "rho": [\n    [[0.75, 0.0], [0.0, 0.25]],\n'
+        '    [[-0.0, -0.25], [0.25, 0.0]]\n  ]\n}\n')
+
+
+def test_matrix_literal_keeps_every_float():
+    values = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, np.inf, -np.inf, np.nan]
+    m = np.array([[complex(a, b) for b in values] for a in values])
+    lit = matrix_to_literal(m)
+    assert json.dumps(lit) == json.dumps(reference_matrix_to_literal(m))
+    assert all(type(x) is float for row in lit for cell in row for x in cell)
+    assert literal_to_matrix(lit, "m").tobytes() == m.tobytes()
+
+
 def test_literal_rejects_malformed_entries():
     with pytest.raises(ValidationError, match="nonempty list of rows"):
         literal_to_matrix([], "m")
@@ -69,6 +114,11 @@ def test_literal_rejects_malformed_entries():
         literal_to_matrix([[[1.0, 0.0], [1.0]]], "m")
     with pytest.raises(ValidationError, match=r"entry \(0,0\)"):
         literal_to_matrix([[[True, False]]], "m")
+    # the first fault in row-major order is named, even when a later row is bad too
+    with pytest.raises(ValidationError, match=r"entry \(0,1\) is not a \[re, im\] pair"):
+        literal_to_matrix([[[1.0, 0.0], [1.0]], "oops"], "m")
+    with pytest.raises(ValidationError, match=r"m: entry \(1,0\) is outside the float range"):
+        literal_to_matrix([[[1.0, 0.0]], [[0, -10 ** 400]]], "m")
 
 
 def test_truncated_json_reports_offset():
@@ -144,8 +194,13 @@ def test_stochastic_file_rejects_bad_documents():
         parse_stochastic_file('{"r": "two", "entries": []}')
     with pytest.raises(ValidationError, match="2 x 2"):
         parse_stochastic_file('{"r": 2, "entries": [[1.0, 0.0]]}')
-    with pytest.raises(ValidationError, match="real numbers"):
+    with pytest.raises(ValidationError, match=r"real numbers: entry \(0,0\) is not a number"):
         parse_stochastic_file('{"r": 1, "entries": [["x"]]}')
+    for leaf in ("true", '"0"', "null", "[1]", "{}"):
+        with pytest.raises(ValidationError, match=r"entry \(1,0\) is not a number"):
+            parse_stochastic_file(f'{{"r": 2, "entries": [[1, 0.5], [{leaf}, 0.5]]}}')
+    with pytest.raises(ValidationError, match=r"entry \(0,1\) is outside the float range"):
+        parse_stochastic_file(f'{{"r": 2, "entries": [[1, {10 ** 400}], [0, 0.5]]}}')
     with pytest.raises(DocumentSyntaxError):
         parse_stochastic_file("{")
 
