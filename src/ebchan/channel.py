@@ -50,7 +50,11 @@ class HolevoForm:
     Construct through :func:`make_holevo_form`. Pair k is
     (``effects[k]``, ``states[k]``); both fields are read-only complex
     arrays of shape (r, n, n), so every contraction over the pair index runs
-    on them as they are, and code that wants pairs zips them. Every
+    on them as they are, and code that wants pairs zips them. Both stacks,
+    and every subset sum ``stack[members].sum(axis=0)`` of them, are exactly
+    Hermitian (``np.array_equal(a, a.conj().swapaxes(-1, -2))``): the
+    constructors store Hermitian parts (A + A*)/2, and entries (i, j) and
+    (j, i) of a sum come from the same additions of conjugate values. Every
     operation on the form is pure. Derived quantities that several analyses
     share are cached on the instance. Forms compare and hash by identity:
     two forms built from equal data are distinct objects with distinct caches.
@@ -79,8 +83,14 @@ class HolevoForm:
         return {}
 
 
-def _freeze(arr):
-    out = np.array(arr, dtype=np.complex128)
+def _hermitian_stack(mats):
+    """Read-only complex stack of the Hermitian parts (A + A*)/2 of ``mats``.
+
+    Bitwise ``mats`` when that is exactly Hermitian; else each entry moves by
+    at most half the Hermitian defect of its matrix.
+    """
+    arr = np.asarray(mats, dtype=np.complex128)
+    out = (arr + arr.conj().swapaxes(-1, -2)) / 2.0
     out.setflags(write=False)
     return out
 
@@ -117,7 +127,8 @@ def make_holevo_form(n, pairs, tol: Tolerances = DEFAULT_TOL) -> HolevoForm:
     """Validate (F_k, R_k) pairs and assemble the channel.
 
     Checks, in order: shapes, each F_k PSD and nonzero, each R_k a density
-    matrix, and POVM closure sum_k F_k = I within ``stochastic_tol``.
+    matrix, and POVM closure sum_k F_k = I within ``stochastic_tol``. The
+    form holds the Hermitian parts of the validated matrices.
     """
     n = int(n)
     if n < 1:
@@ -139,7 +150,8 @@ def make_holevo_form(n, pairs, tol: Tolerances = DEFAULT_TOL) -> HolevoForm:
     if defect > tol.stochastic_tol:
         raise NotPOVM(f"effects sum to I only within {defect:.3e}, tolerance "
                       f"{tol.stochastic_tol:.1e}")
-    return HolevoForm(n=n, effects=_freeze(effects), states=_freeze(states))
+    return HolevoForm(n=n, effects=_hermitian_stack(effects),
+                      states=_hermitian_stack(states))
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +296,8 @@ def iterated_form(form: HolevoForm, m: int, tol: Tolerances = DEFAULT_TOL) -> Ho
     Powers of S are taken by repeated multiplication. The derived effects
     are PSD and sum to the identity, but individual ones may vanish when
     S^{m-1} has a zero row, so this constructor bypasses the zero-effect
-    check that applies to externally supplied forms. The result shares the
-    read-only state stack of ``form``.
+    check that applies to externally supplied forms. It stores the Hermitian
+    parts of the derived effects and shares the state stack of ``form``.
     """
     if m < 1:
         raise ValueError(f"iteration count must be >= 1, got {m}")
@@ -296,7 +308,7 @@ def iterated_form(form: HolevoForm, m: int, tol: Tolerances = DEFAULT_TOL) -> Ho
     for _ in range(m - 1):
         power = s @ power
     effects = np.einsum("kj,jab->kab", power, form.effects)
-    return HolevoForm(n=form.n, effects=_freeze(effects), states=form.states)
+    return HolevoForm(n=form.n, effects=_hermitian_stack(effects), states=form.states)
 
 
 @dataclass(frozen=True)
@@ -317,8 +329,9 @@ def fixed_point(form: HolevoForm, tol: Tolerances = DEFAULT_TOL) -> FixedPoint:
     """Density-matrix fixed point sum_k pi_k R_k from a stationary pi of S."""
     pi, unique = _solve_stationary(stochastic_rep(form, tol), tol)  # S is validated once
     rho = sum(p * r for p, r in zip(pi, form.states))
+    rho.setflags(write=False)
     residual = float(np.max(np.abs(apply_linear(form, rho) - rho)))
-    return FixedPoint(rho=_freeze(rho), unique=unique, residual=residual)
+    return FixedPoint(rho=rho, unique=unique, residual=residual)
 
 
 # ---------------------------------------------------------------------------

@@ -62,8 +62,7 @@ def run_channel_checks(form: HolevoForm, tol: Tolerances = DEFAULT_TOL,
 
     Each result is computed once: ``fixed_point_convergence`` takes
     |lambda_2| from the S eigenvalues of the spectrum check (those with
-    modulus below ``zero_eig_tol`` count as 0), and ``report_consistency``
-    reads ``sum_R_pd`` from the primitivity report.
+    modulus below ``zero_eig_tol`` count as 0).
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -174,10 +173,6 @@ def run_channel_checks(form: HolevoForm, tol: Tolerances = DEFAULT_TOL,
         elif not res.holds:
             out.append(_result("witness_soundness", False,
                                f"negative verdict at m = {res.m} carries no witness"))
-
-    if not report.sum_R_pd and structural:
-        out.append(_result("report_consistency", False,
-                           "channel flagged primitive with singular sum of states"))
     return out
 
 

@@ -34,6 +34,9 @@ class Tolerances:
                    be positive, since a zero cut would count round-off as rank
     match_tol      max allowed distance when pairing two spectra
     stochastic_tol slack for POVM closure, trace-one and column-sum checks
+
+    psd_tol and zero_eig_tol scale with max(1, lambda_max) and must be below
+    1: at 1 or more no matrix is PD and any with lambda_max < 1 is singular.
     """
 
     psd_tol: float = 1e-9
@@ -46,6 +49,9 @@ class Tolerances:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValidationError(f"{name} must be finite and nonnegative, got {value}")
+            if value >= 1 and name in ("psd_tol", "zero_eig_tol"):
+                raise ValidationError(f"{name} must be below 1, got {value}: "
+                                      "it is relative to max(1, lambda_max)")
         if self.zero_eig_tol == 0:
             raise ValidationError(f"zero_eig_tol must be positive, got {self.zero_eig_tol}: "
                                   "a zero cut counts round-off as rank")
@@ -120,18 +126,6 @@ def kernel_psd(h, tol: Tolerances = DEFAULT_TOL):
     """
     w, v = eig_hermitian(h, tol)  # descending
     return v[:, w < _zero_cut(w[-1], w[0], tol, "kernel_psd")]
-
-
-def kernel_dim_psd(h, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Dimension of the kernel of a PSD matrix (eigenvalues only, no vectors).
-
-    ``h`` is a square array the program built as a sum of PSD matrices that
-    were validated when they came in, so it is neither copied nor checked
-    again; only its symmetrized eigenvalues are computed, and one below
-    ``-psd_tol * max(1, lambda_max)`` still raises NotPSD.
-    """
-    w = np.linalg.eigvalsh((h + h.conj().T) / 2.0)  # ascending
-    return int(np.count_nonzero(w < _zero_cut(w[0], w[-1], tol, "kernel_dim_psd")))
 
 
 def eig_general(m):

@@ -10,8 +10,11 @@ operators the kernel of a sum is the intersection of the kernels.
 Each side of that test is an (r, n, n) stack of validated PSD matrices,
 the form's own state stack or the iterated effects, and a subset sum is
 ``stack[members].sum(axis=0)``; built from checked pairs, it is not
-validated again before its kernel solve. The split scan is one AND of the
-state table with the reversed iterated-effect table.
+validated again before its kernel solve. Such a sum is exactly Hermitian
+(see ``HolevoForm``), so the solve is one ``eigvalsh`` of it as it is: it
+has a kernel iff lambda_min < zero_eig_tol * max(1, lambda_max), and a
+lambda_min below -psd_tol * max(1, lambda_max) raises NotPSD. The split
+scan is one AND of the state table with the reversed iterated-effect table.
 
 The state side of that test depends on the R_k alone, so
 ``channel_primitivity_index`` builds its subset table once per search and
@@ -26,9 +29,8 @@ __all__ = [
     "SUBSET_CAP", "ChannelPrimitivityReport", "HolevoRankBounds",
     "IndexBoundComparison", "StrictPositivityResult",
     "channel_primitivity_index", "holevo_rank_bounds",
-    "is_primitive_channel", "quantum_wielandt_comparison",
-    "strictly_positive_at", "sum_R_positive_definite",
-    "sweep_positive_iterate",
+    "quantum_wielandt_comparison", "strictly_positive_at",
+    "sum_R_positive_definite", "sweep_positive_iterate",
 ]
 
 from dataclasses import dataclass
@@ -37,7 +39,7 @@ import numpy as np
 
 from .channel import HolevoForm, iterated_form, stochastic_rep
 from .errors import ConsistencyError, SubsetCapExceeded
-from .linalg import DEFAULT_TOL, Tolerances, is_pd, kernel_dim_psd, kernel_psd
+from .linalg import DEFAULT_TOL, Tolerances, _zero_cut, is_pd, kernel_psd
 from .stochastic import primitivity_index, wielandt_bound
 
 SUBSET_CAP = 20
@@ -78,7 +80,8 @@ class StrictPositivityResult:
 def _alive_table(stack, tol):
     """alive[mask] = True iff the sum of ``stack[k]`` over the bits k of ``mask`` has a kernel.
 
-    ``stack`` holds r validated PSD matrices as an (r, n, n) array. Downward
+    ``stack`` holds r validated PSD matrices as an exactly Hermitian (r, n, n)
+    array, so each subset sum goes to ``eigvalsh`` as it is. Downward
     closed: adding terms can only shrink the kernel, so a dead parent (mask
     without its lowest bit) kills the mask without a solve.
     """
@@ -88,7 +91,8 @@ def _alive_table(stack, tol):
     for mask in range(1, 1 << r):
         if alive[mask & (mask - 1)]:
             members = [k for k in range(r) if mask >> k & 1]
-            alive[mask] = kernel_dim_psd(stack[members].sum(axis=0), tol) > 0
+            w = np.linalg.eigvalsh(stack[members].sum(axis=0))  # ascending
+            alive[mask] = w[0] < _zero_cut(w[0], w[-1], tol, "subset kernel test")
     return alive
 
 
@@ -141,12 +145,6 @@ def _positive_at(form, m, tol, alive_states):
                       for g, r in zip(effects_m, states)))
     return StrictPositivityResult(holds=False, m=m, subset=subset,
                                   state=psi, direction=phi, value=value)
-
-
-def is_primitive_channel(form: HolevoForm, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Primitivity decision: S primitive and sum_k R_k positive definite."""
-    s = stochastic_rep(form, tol)
-    return primitivity_index(s, tol).primitive and sum_R_positive_definite(form, tol)
 
 
 @dataclass(frozen=True)

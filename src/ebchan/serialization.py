@@ -50,10 +50,10 @@ def _is_number(x) -> bool:
 
 
 def _inline_list(lst) -> bool:
-    # keep [re, im] pairs and numeric rows on one line
-    if all(_is_number(x) for x in lst):
+    # keep [re, im] pairs and numeric rows on one line; whole-list type passes
+    if _numbers_only(lst):
         return True
-    return all(isinstance(x, list) and all(_is_number(y) for y in x) for x in lst)
+    return set(map(type, lst)) == {list} and _numbers_only(chain.from_iterable(lst))
 
 
 def _render_json(obj, indent: int = 0) -> str:

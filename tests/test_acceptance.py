@@ -14,8 +14,7 @@ from ebchan.channel import (apply_linear, depolarizing, factorization,
                             compare_nonzero_spectrum, fixed_point,
                             stochastic_rep)
 from ebchan.linalg import vec
-from ebchan.primitivity import (channel_primitivity_index,
-                                is_primitive_channel, strictly_positive_at,
+from ebchan.primitivity import (channel_primitivity_index, strictly_positive_at,
                                 sweep_positive_iterate)
 from ebchan.sampling import (random_channel, random_density,
                              random_stochastic)
@@ -149,7 +148,8 @@ def test_structural_verdict_matches_definition_sweep(acceptance, suite_100):
     failures = []
     primitive_count = 0
     for i, form in enumerate(suite_100):
-        structural = is_primitive_channel(form)
+        report = channel_primitivity_index(form)
+        structural = report.channel_primitive
         swept, swept_index = sweep_positive_iterate(form)
         if structural != swept:
             failures.append(f"channel {i} (n={form.n}, r={form.r}): "
@@ -157,7 +157,7 @@ def test_structural_verdict_matches_definition_sweep(acceptance, suite_100):
             continue
         if structural:
             primitive_count += 1
-            q = channel_primitivity_index(form).q_index
+            q = report.q_index
             if q != swept_index:
                 failures.append(f"channel {i}: index {q} vs sweep {swept_index}")
     if primitive_count == 0 or primitive_count == len(suite_100):
@@ -231,7 +231,7 @@ def test_named_builders(acceptance):
         failures.append("diagonal-restriction builder matrix is not the identity")
     if not primitivity_index(stochastic_rep(diag)).primitive is False:
         failures.append("identity matrix flagged primitive")
-    if is_primitive_channel(diag):
+    if channel_primitivity_index(diag).channel_primitive:
         failures.append("diagonal-restriction channel flagged primitive")
 
     n = 2

@@ -10,7 +10,7 @@ from ebchan.channel import (_pair_distance, apply_linear, choi, choi_pair_sum,
                             make_holevo_form, map_to_diagonal, natural_rep,
                             qc_from_stochastic, stochastic_rep)
 from ebchan.errors import (DimensionMismatch, KrausRankTooHigh, NotDensity,
-                           NotPOVM, NotStochastic, TracePreservationViolation,
+                           NotPOVM, NotPSD, NotStochastic, TracePreservationViolation,
                            ValidationError, ZeroEffect)
 from ebchan.linalg import DEFAULT_TOL, Tolerances, vec
 from ebchan.sampling import random_density, random_holevo_form
@@ -76,6 +76,51 @@ def test_form_holds_read_only_stacks():
         with pytest.raises(ValueError):
             stack[1, 0, 0] = 2.0
     assert iterated_form(form, 3).states is form.states
+
+
+def exactly_hermitian(a):
+    return np.array_equal(a, a.conj().swapaxes(-1, -2))
+
+
+def upper_noise(rng, n, size):
+    """Strictly upper triangular noise: the Hermitian defect it adds is its largest entry."""
+    return size * np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1)
+
+
+def test_forms_hold_exactly_hermitian_stacks():
+    # the stored and iterated stacks and every subset sum of them are exactly
+    # Hermitian, also when the input is Hermitian only within psd_tol
+    rng = np.random.default_rng(72)
+    for _ in range(40):
+        n, r = int(rng.integers(1, 5)), int(rng.integers(1, 7))
+        base = random_holevo_form(rng, n, r)
+        pairs = [(f + upper_noise(rng, n, 1e-12), rho + upper_noise(rng, n, 1e-12))
+                 for f, rho in zip(base.effects, base.states)]
+        form = make_holevo_form(n, pairs)
+        for k, (f, rho) in enumerate(pairs):
+            for given, stored in ((f, form.effects[k]), (rho, form.states[k])):
+                defect = np.max(np.abs(given - given.conj().T))
+                assert np.max(np.abs(stored - given)) <= defect
+        for m in (1, 2, 5):
+            for stack in (form.states, iterated_form(form, m).effects):
+                assert exactly_hermitian(stack)
+                for mask in range(1, 1 << r):
+                    members = [k for k in range(r) if mask >> k & 1]
+                    assert exactly_hermitian(stack[members].sum(axis=0))
+        # exactly Hermitian input is stored bit for bit
+        again = make_holevo_form(n, zip(base.effects, base.states))
+        assert again.effects.tobytes() == base.effects.tobytes()
+        assert again.states.tobytes() == base.states.tobytes()
+
+
+def test_hermitian_defect_beyond_psd_tol_still_raises():
+    noise = upper_noise(np.random.default_rng(73), 2, 1e-6)
+    with pytest.raises(NotPSD, match="not Hermitian") as err:
+        make_holevo_form(2, [(PLUS + noise, E00), (MINUS, E11)])
+    assert err.value.pair_index == 0
+    with pytest.raises(NotDensity, match="not Hermitian") as err:
+        make_holevo_form(2, [(PLUS, E00), (MINUS, PLUS + noise)])
+    assert err.value.pair_index == 1
 
 
 def test_forms_compare_and_hash_by_identity():

@@ -304,6 +304,22 @@ def test_analyze_rejects_zero_eig_tol_zero(depolarizing_file, capsys):
     assert "error: zero_eig_tol must be positive" in captured.err
 
 
+def test_analyze_rejects_psd_tol_of_one(depolarizing_file, capsys):
+    # a cut relative to max(1, lambda_max) at 1 leaves no matrix PD
+    assert main(["analyze", depolarizing_file, "--psd-tol", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: psd_tol must be below 1, got 1.0" in captured.err
+
+
+def test_analyze_rejects_zero_eig_tol_of_one(depolarizing_file, capsys):
+    # ... and counts every PSD matrix with lambda_max < 1 as singular
+    assert main(["analyze", depolarizing_file, "--zero-eig-tol", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: zero_eig_tol must be below 1, got 1.0" in captured.err
+
+
 def test_verify_random_reports_a_raising_channel_and_goes_on(capsys, monkeypatch):
     seen = []
 

@@ -3,8 +3,8 @@ import pytest
 
 from ebchan.errors import DimensionMismatch, NotHermitian, NotPSD, ValidationError
 from ebchan.linalg import (DEFAULT_TOL, Tolerances, as_matrix, eig_general,
-                           eig_hermitian, is_pd, is_psd, kernel_dim_psd, kernel_psd,
-                           tensor, unvec, vec)
+                           eig_hermitian, is_pd, is_psd, kernel_psd, tensor, unvec, vec)
+from ebchan.primitivity import _alive_table
 
 E00 = np.array([[1, 0], [0, 0]], dtype=complex)
 PLUS = np.full((2, 2), 0.5, dtype=complex)
@@ -38,6 +38,15 @@ def test_tolerances_reject_zero_eig_tol_zero(value):
     with pytest.raises(ValidationError, match="zero_eig_tol must be positive"):
         Tolerances(zero_eig_tol=value)
     assert Tolerances(zero_eig_tol=1e-300).zero_eig_tol == 1e-300
+
+
+@pytest.mark.parametrize("name", ["psd_tol", "zero_eig_tol"])
+def test_tolerances_reject_relative_cuts_of_one_or_more(name):
+    # both cuts scale with max(1, lambda_max): at 1 no matrix would count as PD
+    for value in (1.0, 2.5):
+        with pytest.raises(ValidationError, match=f"{name} must be below 1"):
+            Tolerances(**{name: value})
+    assert getattr(Tolerances(**{name: 0.5}), name) == 0.5
 
 
 def test_as_matrix_rejects_nan_and_shape():
@@ -104,6 +113,11 @@ def random_unitary(rng, n):
     return q
 
 
+def subset_test_finds_kernel(h):
+    """The subset kernel test on the one-matrix stack of h's Hermitian part."""
+    return bool(_alive_table(((h + h.conj().T) / 2)[None], DEFAULT_TOL)[1])
+
+
 def test_kernel_dimension_agrees_with_kernel_basis():
     rng = np.random.default_rng(4)
     # full rank, deficient rank, and eigenvalues on both sides of the zero cut
@@ -113,20 +127,23 @@ def test_kernel_dimension_agrees_with_kernel_basis():
     for eigs in spectra:
         u = random_unitary(rng, len(eigs))
         h = u @ np.diag(eigs) @ u.conj().T
-        dim = kernel_dim_psd(h)
-        assert dim == kernel_psd(h).shape[1] == sum(e < 1e-8 * max(1.0, eigs[0]) for e in eigs)
+        dim = kernel_psd(h).shape[1]
+        assert dim == sum(e < 1e-8 * max(1.0, eigs[0]) for e in eigs)
+        assert subset_test_finds_kernel(h) == (dim > 0)
     for rank in range(6):
         h = random_psd(rng, 5, rank) if rank else np.zeros((5, 5))
-        assert kernel_dim_psd(h) == kernel_psd(h).shape[1] == 5 - rank
+        assert kernel_psd(h).shape[1] == 5 - rank
+        assert subset_test_finds_kernel(h) == (rank < 5)
 
 
 @pytest.mark.parametrize("lowest", [-1.0, -1e-6])
 def test_both_kernel_routes_reject_indefinite(lowest):
     u = random_unitary(np.random.default_rng(5), 3)
     h = u @ np.diag([1.0, 0.5, lowest]) @ u.conj().T
-    for kernel in (kernel_psd, kernel_dim_psd):
-        with pytest.raises(NotPSD, match=kernel.__name__):
-            kernel(h)
+    with pytest.raises(NotPSD, match="kernel_psd"):
+        kernel_psd(h)
+    with pytest.raises(NotPSD, match="subset kernel test"):
+        subset_test_finds_kernel(h)
 
 
 def test_kernel_vectors_are_annihilated():

@@ -4,15 +4,15 @@ import pytest
 from ebchan.channel import (apply_linear, depolarizing, iterated_form, make_holevo_form,
                             map_to_diagonal, qc_from_stochastic, stochastic_rep)
 from ebchan import primitivity
-from ebchan.errors import SubsetCapExceeded
-from ebchan.linalg import DEFAULT_TOL, kernel_dim_psd, kernel_psd
+from ebchan.errors import NotPSD, SubsetCapExceeded
+from ebchan.linalg import DEFAULT_TOL, kernel_psd
 from ebchan.primitivity import (SUBSET_CAP, channel_primitivity_index,
-                                holevo_rank_bounds, is_primitive_channel,
-                                quantum_wielandt_comparison,
+                                holevo_rank_bounds, quantum_wielandt_comparison,
                                 strictly_positive_at, sum_R_positive_definite,
                                 sweep_positive_iterate)
 from ebchan.sampling import (random_channel, random_holevo_form, random_pure_state,
                              random_qc_form, wielandt_matrix)
+from ebchan.stochastic import wielandt_bound
 
 E00 = np.diag([1.0, 0.0]).astype(complex)
 E11 = np.diag([0.0, 1.0]).astype(complex)
@@ -107,11 +107,10 @@ def test_subset_cap_exceeded():
         strictly_positive_at(above_cap_form(), 1)
 
 
-def test_is_primitive_channel_examples():
-    assert is_primitive_channel(example_one())
-    assert is_primitive_channel(example_two())
-    assert not is_primitive_channel(map_to_diagonal(3))
-    assert not is_primitive_channel(singular_sum_form())
+def test_channel_primitive_examples():
+    for form, primitive in ((example_one(), True), (example_two(), True),
+                            (map_to_diagonal(3), False), (singular_sum_form(), False)):
+        assert channel_primitivity_index(form).channel_primitive is primitive
 
 
 def test_channel_primitivity_index_examples():
@@ -145,7 +144,7 @@ def test_report_equivalence_invariant():
 def primitive_qc_form(rng, r):
     while True:
         form = random_qc_form(rng, r, zero_fraction=0.6)
-        if is_primitive_channel(form):
+        if channel_primitivity_index(form).channel_primitive:
             return form
 
 
@@ -259,6 +258,54 @@ def test_index_bounds_on_random_primitive_channels():
     assert seen > 0
 
 
+def _symmetrized_kernel_dim(h, tol=DEFAULT_TOL):
+    """Kernel dimension by the symmetrize-and-count route.
+
+    Takes all eigenvalues of (h + h*)/2 and counts those under the zero cut;
+    a sum that is not PSD raises NotPSD. It trusts no Hermitian invariant.
+    """
+    w = np.linalg.eigvalsh((h + h.conj().T) / 2.0)  # ascending
+    scale = max(1.0, float(w[-1]))
+    if w[0] < -tol.psd_tol * scale:
+        raise NotPSD(f"subset sum is not PSD, lambda_min = {w[0]:.3e}")
+    return int(np.count_nonzero(w < tol.zero_eig_tol * scale))
+
+
+def _reference_alive_table(stack, tol=DEFAULT_TOL):
+    """The subset table built by gather, symmetrize, eigvalsh and count."""
+    r = len(stack)
+    alive = np.zeros(1 << r, dtype=bool)
+    alive[0] = True
+    for mask in range(1, 1 << r):
+        if alive[mask & (mask - 1)]:
+            members = [k for k in range(r) if mask >> k & 1]
+            alive[mask] = _symmetrized_kernel_dim(stack[members].sum(axis=0), tol) > 0
+    return alive
+
+
+def _table_oracle_forms():
+    forms = [qc_from_stochastic(wielandt_matrix(r)) for r in range(2, 9)]
+    for seed in (81, 82, 83):
+        rng = np.random.default_rng(seed)
+        forms += [random_channel(rng, n, r) for n in range(1, 5) for r in range(1, 9)]
+    # the two near-threshold tolerance repros: an S entry of 1e-9, a state eigenvalue of 6e-9
+    forms.append(qc_from_stochastic([[1 - 1e-9, 0.5], [1e-9, 0.5]]))
+    forms.append(make_holevo_form(2, [(0.5 * IDENT, E00),
+                                      (0.5 * IDENT, np.diag([1 - 6e-9, 6e-9]))]))
+    return forms
+
+
+def test_alive_table_matches_the_symmetrize_and_count_reference():
+    # on exactly Hermitian stacks the lambda_min test gives the symmetrize-and-count
+    # table bit for bit: the state stack and G^(m) for every m the sweep can test
+    for form in _table_oracle_forms():
+        stacks = [form.states]
+        stacks += [iterated_form(form, m).effects for m in range(1, wielandt_bound(form.r) + 2)]
+        for stack in stacks:
+            got = primitivity._alive_table(stack, DEFAULT_TOL)
+            assert got.tobytes() == _reference_alive_table(stack).tobytes()
+
+
 def _loop_split_scan(form, m, tol=DEFAULT_TOL):
     """Reference split scan: hand-added subset sums and a Python loop over masks."""
     n, r = form.n, form.r
@@ -278,7 +325,7 @@ def _loop_split_scan(form, m, tol=DEFAULT_TOL):
         for mask in range(1, full + 1):
             if alive[mask & (mask - 1)]:
                 members = [k for k in range(r) if mask >> k & 1]
-                alive[mask] = kernel_dim_psd(subset_sum(mats, members), tol) > 0
+                alive[mask] = _symmetrized_kernel_dim(subset_sum(mats, members), tol) > 0
         return alive
 
     def kernel_vector(mats, indices):
