@@ -19,7 +19,6 @@ from .channel import (HolevoForm, _choi_from_rep, apply_linear, choi_pair_sum,
 from .linalg import DEFAULT_TOL, Tolerances, vec
 from .primitivity import (SUBSET_CAP, channel_primitivity_index,
                           strictly_positive_at, sweep_positive_iterate)
-from .stochastic import primitivity_index
 
 ROUTE_TOL = 1e-10
 WITNESS_TOL = 1e-8
@@ -62,7 +61,9 @@ def run_channel_checks(form: HolevoForm, tol: Tolerances = DEFAULT_TOL,
 
     Each result is computed once: ``fixed_point_convergence`` takes
     |lambda_2| from the S eigenvalues of the spectrum check (those with
-    modulus below ``zero_eig_tol`` count as 0).
+    modulus below ``zero_eig_tol`` count as 0), and whether S is primitive
+    and its index p from the one ``channel_primitivity_index`` report that
+    the primitivity checks read too.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -117,11 +118,11 @@ def run_channel_checks(form: HolevoForm, tol: Tolerances = DEFAULT_TOL,
                        f"{len(spec.channel_nonzero)} vs {len(spec.matrix_nonzero)} eigenvalues, "
                        f"max pair distance = {spec.max_pair_distance:.3e}"))
 
-    verdict = primitivity_index(s, tol)
     fp = fixed_point(form, tol)
     out.append(_result("fixed_point_residual", fp.residual <= ROUTE_TOL,
                        f"|apply(rho*) - rho*| = {fp.residual:.3e}"))
-    if verdict.primitive:
+    report = channel_primitivity_index(form, tol)
+    if report.s_primitive:
         # primitive channels forget their input; the spectral gap of S sets
         # the pace (nonzero spectra of S and the channel action agree), so
         # budget iterations from the second-largest eigenvalue modulus
@@ -131,7 +132,7 @@ def run_channel_checks(form: HolevoForm, tol: Tolerances = DEFAULT_TOL,
         rho[0, 0] += 1.0
         rho /= np.trace(rho).real
         dist = float(np.max(np.abs(rho - fp.rho)))
-        cap = 10 * verdict.index + 200
+        cap = 10 * report.p_index + 200
         if 0.0 < lam2 < 1.0:
             needed = np.log(1e-3 * CONVERGENCE_TOL / max(dist, 1e-15)) / np.log(lam2)
             cap = max(cap, int(needed) + 1)
@@ -147,7 +148,6 @@ def run_channel_checks(form: HolevoForm, tol: Tolerances = DEFAULT_TOL,
                            f"distance {dist:.3e} after {steps} iterations "
                            f"(|lambda_2| = {lam2:.4f})"))
 
-    report = channel_primitivity_index(form, tol)
     structural = report.channel_primitive
     if r <= min(SUBSET_CAP, SWEEP_CAP):
         swept, swept_index = sweep_positive_iterate(form, tol)

@@ -14,12 +14,19 @@ validated again before its kernel solve. Such a sum is exactly Hermitian
 (see ``HolevoForm``), so the solve is one ``eigvalsh`` of it as it is: it
 has a kernel iff lambda_min < zero_eig_tol * max(1, lambda_max), and a
 lambda_min below -psd_tol * max(1, lambda_max) raises NotPSD. The split
-scan is one AND of the state table with the reversed iterated-effect table.
+scan builds the iterated-effect table, takes as candidates the masks T whose
+complement has an effect-side kernel, and asks the state side about those
+alone.
 
 The state side of that test depends on the R_k alone, so
-``channel_primitivity_index`` builds its subset table once per search and
-only the iterated-effect table is rebuilt for each m. The definition-level
-sweep ``sweep_positive_iterate`` stays per-m through the public
+``channel_primitivity_index`` builds its full subset table once per search
+and only the iterated-effect table is rebuilt for each m. The public
+``strictly_positive_at``, and through it the definition-level sweep
+``sweep_positive_iterate``, solves only the state masks its candidates
+need, on demand and at most once per call, so it raises NotPSD only for a
+state mask it solves. ``channel_primitivity_index`` still solves every
+state mask, so ``analyze`` and ``run_channel_checks`` raise NotPSD wherever
+a full state table would. The sweep stays per-m through
 ``strictly_positive_at``, as the independent route it is checked against.
 """
 
@@ -85,15 +92,43 @@ def _alive_table(stack, tol):
     closed: adding terms can only shrink the kernel, so a dead parent (mask
     without its lowest bit) kills the mask without a solve.
     """
-    r = len(stack)
-    alive = np.zeros(1 << r, dtype=bool)
+    alive = np.zeros(1 << len(stack), dtype=bool)
     alive[0] = True  # empty sum is the zero matrix, kernel is everything
-    for mask in range(1, 1 << r):
+    for mask in range(1, len(alive)):
         if alive[mask & (mask - 1)]:
-            members = [k for k in range(r) if mask >> k & 1]
-            w = np.linalg.eigvalsh(stack[members].sum(axis=0))  # ascending
-            alive[mask] = w[0] < _zero_cut(w[0], w[-1], tol, "subset kernel test")
+            alive[mask] = _has_kernel(stack, mask, tol)
     return alive
+
+
+def _has_kernel(stack, mask, tol):
+    """One kernel solve: whether the sum of ``stack[k]`` over the bits k of ``mask`` is singular."""
+    members = [k for k in range(len(stack)) if mask >> k & 1]
+    w = np.linalg.eigvalsh(stack[members].sum(axis=0))  # ascending
+    return w[0] < _zero_cut(w[0], w[-1], tol, "subset kernel test")
+
+
+class _LazyAliveTable:
+    """``_alive_table(stack, tol)`` read on demand, for the masks a scan asks about.
+
+    Indexed by an array of masks, it returns their entries bit for bit as
+    the full table holds them. A mask is solved only when asked, and only
+    once its lowest-bit parent is known to be alive; every answer is kept,
+    so no mask is solved twice. NotPSD is raised only for masks it solves.
+    """
+
+    def __init__(self, stack, tol):
+        self._stack, self._tol = stack, tol
+        self._known = {0: True}
+
+    def __getitem__(self, masks):
+        return np.array([self._alive(int(mask)) for mask in masks], dtype=bool)
+
+    def _alive(self, mask):
+        alive = self._known.get(mask)
+        if alive is None:
+            alive = self._alive(mask & (mask - 1)) and _has_kernel(self._stack, mask, self._tol)
+            self._known[mask] = alive
+        return alive
 
 
 def _kernel_vector(stack, indices, tol):
@@ -113,27 +148,34 @@ def strictly_positive_at(form: HolevoForm, m: int,
     state psi make every term <psi|G_k|psi> <phi|R_k|phi> vanish, i.e. when
     the pair indices split into a set T with phi in ker(sum_{k in T} R_k)
     and a complement with psi in ker(sum of the other iterated effects).
-    The test enumerates all 2^r splits (it is exact); the verdict is the
-    first triggering split in increasing-bitmask order, so it is
-    deterministic regardless of evaluation schedule. This builds the
-    state-side table on every call; ``channel_primitivity_index`` builds it
-    once and reuses it for each m it tests. Raises SubsetCapExceeded when
-    r exceeds ``SUBSET_CAP``.
+    The test covers all 2^r splits (it is exact): it builds the iterated
+    effects' subset table, then asks the state side only about the splits
+    whose complement leaves an effect-side kernel, solving each state mask
+    on demand and at most once per call. The verdict is the first
+    triggering split in increasing-bitmask order, so it is deterministic
+    regardless of evaluation schedule. ``channel_primitivity_index``
+    instead builds the full state table once and reuses it for each m it
+    tests. NotPSD is raised for a state mask only if it is solved. Raises
+    SubsetCapExceeded when r exceeds ``SUBSET_CAP``.
     """
     if form.r > SUBSET_CAP:
         raise SubsetCapExceeded(
             f"r = {form.r} exceeds the exact-enumeration cap {SUBSET_CAP}")
-    return _positive_at(form, m, tol, _alive_table(form.states, tol))
+    return _positive_at(form, m, tol, _LazyAliveTable(form.states, tol))
 
 
 def _positive_at(form, m, tol, alive_states):
-    """The split scan of ``strictly_positive_at`` given the state-side table.
+    """The split scan of ``strictly_positive_at`` given the state side.
 
-    Index t of the reversed effect table is mask ``full ^ t``, so the first
-    hit of the elementwise AND is the first split in increasing-bitmask order.
+    ``alive_states`` is the full state table or a ``_LazyAliveTable``, read
+    only at the candidate masks T: those whose complement ``full ^ T`` is
+    alive in the effect table, i.e. index T of the reversed table, in
+    increasing order. Every candidate is asked, so the first hit is the
+    first split in increasing-bitmask order.
     """
     states, effects_m = form.states, iterated_form(form, m, tol).effects
-    hits = np.flatnonzero(alive_states & _alive_table(effects_m, tol)[::-1])
+    candidates = np.flatnonzero(_alive_table(effects_m, tol)[::-1])
+    hits = candidates[alive_states[candidates]]
     if not hits.size:
         return StrictPositivityResult(holds=True, m=m)
     t_mask = int(hits[0])
@@ -174,11 +216,12 @@ def channel_primitivity_index(form: HolevoForm,
 
     The search runs over the guaranteed window [max(1, p-1), p+1];
     ``sweep_positive_iterate`` is the definition-level oracle that scans
-    from m = 1, rebuilding every table per m. Positivity once reached must
-    persist, so the search re-tests at q + 1 whenever that lies inside the
-    window and refuses to return an answer contradicting monotonicity. The
-    state-side subset table does not depend on m, so it is built once per
-    search and shared by every m tested, the re-test included.
+    from m = 1, one ``strictly_positive_at`` call per m. Positivity once
+    reached must persist, so the search re-tests at q + 1 whenever that lies
+    inside the window and refuses to return an answer contradicting
+    monotonicity. The state-side subset table does not depend on m, so it
+    is built in full once per search and shared by every m tested, the
+    re-test included.
     """
     s = stochastic_rep(form, tol)
     verdict = primitivity_index(s, tol)
@@ -283,7 +326,8 @@ def sweep_positive_iterate(form: HolevoForm, tol: Tolerances = DEFAULT_TOL):
     Returns (primitive, least m) by testing strict positivity directly at
     every m up to the index bound, independent of the stochastic-matrix
     decision path. Every m goes through the public ``strictly_positive_at``,
-    which rebuilds both subset tables, so this route shares no table with
+    which builds that m's iterated-effect table and solves the state masks
+    its candidate splits need afresh, so this route shares no table with
     ``channel_primitivity_index``. Intended for cross-checking, not routine
     use.
     """

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ebchan import channel, checks, stochastic
+from ebchan import channel, checks, primitivity, stochastic
 from ebchan.channel import (depolarizing, fixed_point, make_holevo_form, map_to_diagonal,
                             stochastic_rep)
 from ebchan.checks import CheckResult, all_passed, run_channel_checks
@@ -175,3 +175,16 @@ def test_stochastic_matrix_is_computed_once_per_form_and_tolerances(monkeypatch)
             assert len(keys) == len(set(keys))
             assert keys.count((id(form), tol)) == 1
             assert all(t == tol for _, t in calls)
+
+
+def test_stochastic_verdict_is_computed_once_per_check_run(monkeypatch):
+    # fixed_point_convergence reads S's primitivity and p from the one
+    # channel_primitivity_index report; wrap every module-level copy of the function
+    copies = [mod for mod in (checks, primitivity) if hasattr(mod, "primitivity_index")]
+    calls = count_calls(monkeypatch, stochastic, "primitivity_index", *copies)
+    rng = np.random.default_rng(66)
+    for form in (make_holevo_form(2, [(PLUS, E00), (MINUS, E11)]), map_to_diagonal(3),
+                 depolarizing(2), random_channel(rng, 3, 4), random_channel(rng, 2, 3)):
+        del calls[:]
+        assert all_passed(run_channel_checks(form, rng=rng))
+        assert len(calls) == 1

@@ -306,6 +306,61 @@ def test_alive_table_matches_the_symmetrize_and_count_reference():
             assert got.tobytes() == _reference_alive_table(stack).tobytes()
 
 
+def test_lazy_alive_table_matches_the_full_table(monkeypatch):
+    # asked in any order, the on-demand table answers bit for bit as the full
+    # table; it solves each mask at most once, and only below an alive parent
+    solved = []
+
+    def counting(stack, mask, tol):
+        solved.append(mask)
+        return has_kernel(stack, mask, tol)
+
+    has_kernel = primitivity._has_kernel
+    rng = np.random.default_rng(84)
+    for form in _table_oracle_forms():
+        stacks = [form.states]
+        stacks += [iterated_form(form, m).effects for m in range(1, wielandt_bound(form.r) + 2)]
+        for stack in stacks:
+            table = primitivity._alive_table(stack, DEFAULT_TOL)
+            monkeypatch.setattr(primitivity, "_has_kernel", counting)
+            del solved[:]
+            lazy = primitivity._LazyAliveTable(stack, DEFAULT_TOL)
+            masks = rng.permutation(len(table))
+            for asked in (masks[:len(masks) // 2], masks):
+                assert lazy[asked].tobytes() == table[asked].tobytes()
+            monkeypatch.setattr(primitivity, "_has_kernel", has_kernel)
+            # asked every mask, it has solved exactly the masks the full table solves
+            assert sorted(solved) == [mask for mask in range(1, len(table))
+                                      if table[mask & (mask - 1)]]
+
+
+def test_strictly_positive_at_never_builds_the_state_table(monkeypatch):
+    calls = []
+
+    def counting(mats, tol):
+        calls.append(any(mats is form.states for form in forms))
+        return alive_table(mats, tol)
+
+    forms = [example_one(), singular_sum_form(), qc_from_stochastic(wielandt_matrix(5)),
+             primitive_qc_form(np.random.default_rng(39), 6)]
+    alive_table = primitivity._alive_table
+    monkeypatch.setattr(primitivity, "_alive_table", counting)
+    for form in forms:
+        for m in (1, 2, 3):
+            strictly_positive_at(form, m)
+        sweep_positive_iterate(form)
+    assert calls and not any(calls)  # only iterated-effect tables are built
+
+
+@pytest.mark.parametrize("r", range(2, 9))
+def test_sweep_reaches_the_wielandt_index_on_wielandt_qc_forms(r):
+    # q = p = r^2 - 2r + 2; one step short, the states of pairs 1..r-1 share a kernel
+    form = qc_from_stochastic(wielandt_matrix(r))
+    q = r * r - 2 * r + 2
+    assert sweep_positive_iterate(form) == (True, q)
+    assert strictly_positive_at(form, q - 1).subset == tuple(range(1, r))
+
+
 def _loop_split_scan(form, m, tol=DEFAULT_TOL):
     """Reference split scan: hand-added subset sums and a Python loop over masks."""
     n, r = form.n, form.r
