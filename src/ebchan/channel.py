@@ -39,7 +39,7 @@ from .errors import (
     ValidationError,
     ZeroEffect,
 )
-from .linalg import DEFAULT_TOL, Tolerances, as_square, eig_general, eig_hermitian
+from .linalg import DEFAULT_TOL, Tolerances, _rank_cut, as_square, eig_general, eig_hermitian
 from .stochastic import _solve_stationary, make_stochastic
 
 
@@ -513,7 +513,7 @@ def holevo_from_rank_one_kraus(operators, tol: Tolerances = DEFAULT_TOL) -> Hole
         if v.shape[0] != n:
             raise DimensionMismatch(f"V[{k}] must be {n}x{n}, got {v.shape}", pair_index=k)
         sigma = np.linalg.svd(v, compute_uv=False)
-        rank = int(np.count_nonzero(sigma > tol.zero_eig_tol * max(1.0, float(sigma[0]))))
+        rank = int(np.count_nonzero(sigma > _rank_cut(sigma[0], tol)))
         if rank != 1:
             raise KrausRankTooHigh(f"V[{k}] has numerical rank {rank}, expected 1",
                                    pair_index=k)

@@ -17,7 +17,7 @@ from .channel import (HolevoForm, _choi_from_rep, apply_linear, choi_pair_sum,
                       compare_nonzero_spectrum, factorization, fixed_point,
                       iterated_form, natural_rep, stochastic_rep)
 from .linalg import DEFAULT_TOL, Tolerances, vec
-from .primitivity import (SUBSET_CAP, channel_primitivity_index,
+from .primitivity import (SUBSET_CAP, _channel_index_bound, channel_primitivity_index,
                           strictly_positive_at, sweep_positive_iterate)
 
 ROUTE_TOL = 1e-10
@@ -159,7 +159,7 @@ def run_channel_checks(form: HolevoForm, tol: Tolerances = DEFAULT_TOL,
         out.append(_result("index_gap", report.bound_abs_diff_ok,
                            f"|q - p| = |{report.q_index} - {report.p_index}|"))
         out.append(_result("index_bound", report.holevo_rank_bound_ok,
-                           f"q = {report.q_index} vs r^2 - 2r + 3 = {r * r - 2 * r + 3}"))
+                           f"q = {report.q_index} vs r^2 - 2r + 3 = {_channel_index_bound(r)}"))
 
     # the least m without positivity: q - 1, or 1 for a channel that is not
     # primitive; with q = 1 there is none to probe

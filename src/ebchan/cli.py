@@ -27,8 +27,8 @@ from .channel import (FixedPoint, HolevoForm, SpectrumComparison, apply_linear,
                       holevo_from_rank_one_kraus, map_to_diagonal,
                       qc_from_stochastic, stochastic_rep)
 from .checks import run_channel_checks
-from .errors import (ConsistencyError, ConvergenceFailure, EbchanError,
-                     StationarySolveFailure)
+from .errors import (ConsistencyError, ConvergenceFailure, DocumentSyntaxError,
+                     EbchanError, StationarySolveFailure)
 from .linalg import DEFAULT_TOL, Tolerances
 from .primitivity import (ChannelPrimitivityReport, HolevoRankBounds,
                           channel_primitivity_index, holevo_rank_bounds)
@@ -149,7 +149,7 @@ def render_text(report: AnalysisReport, name=None) -> str:
     lines.append(f"  channel primitive: {_yesno(prim.channel_primitive)} (q = {q_str})")
     if prim.q_index is not None:
         lines.append(f"  |q - p| <= 1: {_yesno(prim.bound_abs_diff_ok)}; "
-                     f"q <= r^2 - 2r + 3 = {report.r ** 2 - 2 * report.r + 3}: "
+                     f"q <= r^2 - 2r + 3 = {report.holevo_rank_bounds.q_upper_from_rank}: "
                      f"{_yesno(prim.holevo_rank_bound_ok)}")
     fp = report.fixed_point
     uniq = "unique" if fp.unique else "not unique"
@@ -195,7 +195,11 @@ def render_machine(report: AnalysisReport, name=None) -> str:
 
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise DocumentSyntaxError(f"{path} is not UTF-8 text at byte {exc.start}: "
+                                      f"{exc.reason}", offset=exc.start) from exc
 
 
 def _write_output(text: str, path) -> None:
@@ -308,6 +312,8 @@ def _verify_one(label: str, form: HolevoForm, tol: Tolerances, rng, failures: li
 
 
 def cmd_verify(args) -> int:
+    if args.file is not None and args.random is not None:
+        return _usage_error("verify takes a channel file or --random N, not both")
     tol = DEFAULT_TOL
     rng = np.random.default_rng(args.seed)
     failures = []
@@ -342,6 +348,17 @@ def cmd_verify(args) -> int:
         return 1
     print("all invariants pass")
     return 0
+
+
+def _seed(text: str) -> int:
+    """Parse ``--seed``: numpy's generator takes only nonnegative integers."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return seed
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -380,7 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("file", nargs="?", default=None)
     p_verify.add_argument("--random", type=int, metavar="N",
                           help="verify N randomly generated channels")
-    p_verify.add_argument("--seed", type=int, default=0,
+    p_verify.add_argument("--seed", type=_seed, default=0,
                           help="seed for all randomness (default 0)")
     p_verify.set_defaults(func=cmd_verify)
     return parser

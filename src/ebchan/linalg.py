@@ -110,6 +110,11 @@ def is_pd(h, tol: Tolerances = DEFAULT_TOL) -> bool:
     return bool(w[-1] > tol.psd_tol * max(1.0, w[0]))
 
 
+def _rank_cut(highest, tol: Tolerances) -> float:
+    """Numerical-rank cut: values below zero_eig_tol * max(1, highest) count as zero."""
+    return tol.zero_eig_tol * max(1.0, float(highest))
+
+
 def _zero_cut(lowest, highest, tol: Tolerances, caller: str) -> float:
     """Eigenvalue below which a PSD matrix counts as singular; NotPSD if it is not PSD."""
     scale = max(1.0, float(highest))

@@ -8,26 +8,18 @@ an all-subsets kernel test on the iterated form, exploiting that for PSD
 operators the kernel of a sum is the intersection of the kernels.
 
 Each side of that test is an (r, n, n) stack of validated PSD matrices,
-the form's own state stack or the iterated effects, and a subset sum is
-``stack[members].sum(axis=0)``; built from checked pairs, it is not
-validated again before its kernel solve. Such a sum is exactly Hermitian
-(see ``HolevoForm``), so the solve is one ``eigvalsh`` of it as it is: it
-has a kernel iff lambda_min < zero_eig_tol * max(1, lambda_max), and a
-lambda_min below -psd_tol * max(1, lambda_max) raises NotPSD. The split
-scan builds the iterated-effect table, takes as candidates the masks T whose
-complement has an effect-side kernel, and asks the state side about those
-alone.
-
-The state side of that test depends on the R_k alone, so
-``channel_primitivity_index`` builds its full subset table once per search
-and only the iterated-effect table is rebuilt for each m. The public
-``strictly_positive_at``, and through it the definition-level sweep
-``sweep_positive_iterate``, solves only the state masks its candidates
-need, on demand and at most once per call, so it raises NotPSD only for a
-state mask it solves. ``channel_primitivity_index`` still solves every
-state mask, so ``analyze`` and ``run_channel_checks`` raise NotPSD wherever
-a full state table would. The sweep stays per-m through
-``strictly_positive_at``, as the independent route it is checked against.
+the states or the iterated effects. One routine, ``_alive_table``, decides
+which subset sums ``stack[members].sum(axis=0)`` have a kernel, by one
+``eigvalsh`` each (the sums are exactly Hermitian, see ``HolevoForm``): a
+kernel iff lambda_min < zero_eig_tol * max(1, lambda_max), and NotPSD for
+lambda_min below -psd_tol * max(1, lambda_max). It fills every mask or only
+those asked for, and its callers are of two kinds.
+``channel_primitivity_index`` fills the full state table once per search,
+so ``analyze`` and ``run_channel_checks`` raise NotPSD wherever a state
+mask would. ``strictly_positive_at``, and through it
+``sweep_positive_iterate``, asks for the state masks of its candidate
+splits only, afresh per call, and stays the independent route the search
+is checked against.
 """
 
 from __future__ import annotations
@@ -46,10 +38,15 @@ import numpy as np
 
 from .channel import HolevoForm, iterated_form, stochastic_rep
 from .errors import ConsistencyError, SubsetCapExceeded
-from .linalg import DEFAULT_TOL, Tolerances, _zero_cut, is_pd, kernel_psd
+from .linalg import DEFAULT_TOL, Tolerances, _rank_cut, _zero_cut, is_pd, kernel_psd
 from .stochastic import primitivity_index, wielandt_bound
 
 SUBSET_CAP = 20
+
+
+def _channel_index_bound(r: int) -> int:
+    """The paper's bound r^2 - 2r + 3 on the channel index of an r-pair form."""
+    return wielandt_bound(r) + 1
 
 
 def sum_R_positive_definite(form: HolevoForm, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -84,51 +81,33 @@ class StrictPositivityResult:
         return self.holds
 
 
-def _alive_table(stack, tol):
+def _alive_table(stack, tol, masks=None):
     """alive[mask] = True iff the sum of ``stack[k]`` over the bits k of ``mask`` has a kernel.
 
     ``stack`` holds r validated PSD matrices as an exactly Hermitian (r, n, n)
     array, so each subset sum goes to ``eigvalsh`` as it is. Downward
     closed: adding terms can only shrink the kernel, so a dead parent (mask
-    without its lowest bit) kills the mask without a solve.
+    without its lowest bit) kills the mask without a solve. With ``masks``
+    given, only those masks and their lowest-bit parent chains are walked,
+    so the asked entries are the full table's, every other entry reads
+    False, and NotPSD is raised only for the masks solved.
     """
     alive = np.zeros(1 << len(stack), dtype=bool)
     alive[0] = True  # empty sum is the zero matrix, kernel is everything
-    for mask in range(1, len(alive)):
+    walk = range(1, len(alive))
+    if masks is not None:
+        chains = set()
+        for mask in map(int, masks):
+            while mask and mask not in chains:
+                chains.add(mask)
+                mask &= mask - 1
+        walk = sorted(chains)
+    for mask in walk:
         if alive[mask & (mask - 1)]:
-            alive[mask] = _has_kernel(stack, mask, tol)
+            members = [k for k in range(len(stack)) if mask >> k & 1]
+            w = np.linalg.eigvalsh(stack[members].sum(axis=0))  # ascending
+            alive[mask] = w[0] < _zero_cut(w[0], w[-1], tol, "subset kernel test")
     return alive
-
-
-def _has_kernel(stack, mask, tol):
-    """One kernel solve: whether the sum of ``stack[k]`` over the bits k of ``mask`` is singular."""
-    members = [k for k in range(len(stack)) if mask >> k & 1]
-    w = np.linalg.eigvalsh(stack[members].sum(axis=0))  # ascending
-    return w[0] < _zero_cut(w[0], w[-1], tol, "subset kernel test")
-
-
-class _LazyAliveTable:
-    """``_alive_table(stack, tol)`` read on demand, for the masks a scan asks about.
-
-    Indexed by an array of masks, it returns their entries bit for bit as
-    the full table holds them. A mask is solved only when asked, and only
-    once its lowest-bit parent is known to be alive; every answer is kept,
-    so no mask is solved twice. NotPSD is raised only for masks it solves.
-    """
-
-    def __init__(self, stack, tol):
-        self._stack, self._tol = stack, tol
-        self._known = {0: True}
-
-    def __getitem__(self, masks):
-        return np.array([self._alive(int(mask)) for mask in masks], dtype=bool)
-
-    def _alive(self, mask):
-        alive = self._known.get(mask)
-        if alive is None:
-            alive = self._alive(mask & (mask - 1)) and _has_kernel(self._stack, mask, self._tol)
-            self._known[mask] = alive
-        return alive
 
 
 def _kernel_vector(stack, indices, tol):
@@ -148,33 +127,31 @@ def strictly_positive_at(form: HolevoForm, m: int,
     state psi make every term <psi|G_k|psi> <phi|R_k|phi> vanish, i.e. when
     the pair indices split into a set T with phi in ker(sum_{k in T} R_k)
     and a complement with psi in ker(sum of the other iterated effects).
-    The test covers all 2^r splits (it is exact): it builds the iterated
-    effects' subset table, then asks the state side only about the splits
-    whose complement leaves an effect-side kernel, solving each state mask
-    on demand and at most once per call. The verdict is the first
-    triggering split in increasing-bitmask order, so it is deterministic
-    regardless of evaluation schedule. ``channel_primitivity_index``
-    instead builds the full state table once and reuses it for each m it
-    tests. NotPSD is raised for a state mask only if it is solved. Raises
-    SubsetCapExceeded when r exceeds ``SUBSET_CAP``.
+    The test covers all 2^r splits (it is exact). The verdict is the first
+    triggering split in increasing-bitmask order. The state side is solved
+    only at the candidate splits, so NotPSD is raised for a state mask only
+    if it is solved. Raises SubsetCapExceeded when r exceeds ``SUBSET_CAP``.
     """
     if form.r > SUBSET_CAP:
         raise SubsetCapExceeded(
             f"r = {form.r} exceeds the exact-enumeration cap {SUBSET_CAP}")
-    return _positive_at(form, m, tol, _LazyAliveTable(form.states, tol))
+    return _positive_at(form, m, tol)
 
 
-def _positive_at(form, m, tol, alive_states):
-    """The split scan of ``strictly_positive_at`` given the state side.
+def _positive_at(form, m, tol, alive_states=None):
+    """The split scan of ``strictly_positive_at``.
 
-    ``alive_states`` is the full state table or a ``_LazyAliveTable``, read
-    only at the candidate masks T: those whose complement ``full ^ T`` is
-    alive in the effect table, i.e. index T of the reversed table, in
-    increasing order. Every candidate is asked, so the first hit is the
-    first split in increasing-bitmask order.
+    The candidates are the masks T whose complement ``full ^ T`` is alive
+    in the iterated-effect table, i.e. index T of the reversed table, in
+    increasing order. ``alive_states`` is the full state table of a q
+    search; without it, the state table is solved at the candidates only.
+    Every candidate is read, so the first hit is the first split in
+    increasing-bitmask order.
     """
     states, effects_m = form.states, iterated_form(form, m, tol).effects
     candidates = np.flatnonzero(_alive_table(effects_m, tol)[::-1])
+    if alive_states is None:
+        alive_states = _alive_table(states, tol, candidates)
     hits = candidates[alive_states[candidates]]
     if not hits.size:
         return StrictPositivityResult(holds=True, m=m)
@@ -219,9 +196,8 @@ def channel_primitivity_index(form: HolevoForm,
     from m = 1, one ``strictly_positive_at`` call per m. Positivity once
     reached must persist, so the search re-tests at q + 1 whenever that lies
     inside the window and refuses to return an answer contradicting
-    monotonicity. The state-side subset table does not depend on m, so it
-    is built in full once per search and shared by every m tested, the
-    re-test included.
+    monotonicity. The state-side table does not depend on m, so it is
+    filled in full once per search and read by every m tested.
     """
     s = stochastic_rep(form, tol)
     verdict = primitivity_index(s, tol)
@@ -260,7 +236,7 @@ def channel_primitivity_index(form: HolevoForm,
         s_primitive=True, sum_R_pd=True, channel_primitive=True,
         p_index=p, q_index=q,
         bound_abs_diff_ok=abs(q - p) <= 1,
-        holevo_rank_bound_ok=q <= form.r * form.r - 2 * form.r + 3,
+        holevo_rank_bound_ok=q <= _channel_index_bound(form.r),
         q_method="exact", q_window=window)
 
 
@@ -293,9 +269,9 @@ def holevo_rank_bounds(form: HolevoForm, tol: Tolerances = DEFAULT_TOL) -> Holev
     """
     _, qh_rep = form._action_range
     sigma = np.linalg.svd(qh_rep, compute_uv=False)
-    lower = int(np.count_nonzero(sigma > tol.zero_eig_tol * max(1.0, float(sigma[0]))))
-    r = form.r
-    return HolevoRankBounds(lower=lower, upper=r, q_upper_from_rank=r * r - 2 * r + 3)
+    lower = int(np.count_nonzero(sigma > _rank_cut(sigma[0], tol)))
+    return HolevoRankBounds(lower=lower, upper=form.r,
+                            q_upper_from_rank=_channel_index_bound(form.r))
 
 
 @dataclass(frozen=True)
@@ -316,7 +292,7 @@ def quantum_wielandt_comparison(form: HolevoForm, d: int) -> IndexBoundCompariso
         raise ValueError(f"Kraus operator count must be positive, got {d}")
     r, n = form.r, form.n
     return IndexBoundComparison(
-        q_bound_holevo=r * r - 2 * r + 3,
+        q_bound_holevo=_channel_index_bound(r),
         q_bound_quantum=(n * n - d + 1) * n * n)
 
 
@@ -331,8 +307,7 @@ def sweep_positive_iterate(form: HolevoForm, tol: Tolerances = DEFAULT_TOL):
     ``channel_primitivity_index``. Intended for cross-checking, not routine
     use.
     """
-    cap = wielandt_bound(form.r) + 1
-    for m in range(1, cap + 1):
+    for m in range(1, _channel_index_bound(form.r) + 1):
         if strictly_positive_at(form, m, tol).holds:
             return True, m
     return False, None

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (ColumnSumViolation, DimensionMismatch, NegativeEntry,
                      StationarySolveFailure, ValidationError)
-from .linalg import DEFAULT_TOL, Tolerances
+from .linalg import DEFAULT_TOL, Tolerances, _rank_cut
 
 
 @dataclass(frozen=True)
@@ -118,5 +118,5 @@ def _solve_stationary(arr, tol: Tolerances):
         raise StationarySolveFailure(f"stationary residual {residual:.3e} exceeds 1e-10")
 
     sigma = np.linalg.svd(arr - np.eye(r), compute_uv=False)
-    null_dim = int(np.count_nonzero(sigma < tol.zero_eig_tol * max(1.0, float(sigma[0]))))
+    null_dim = int(np.count_nonzero(sigma < _rank_cut(sigma[0], tol)))
     return pi, null_dim == 1

@@ -282,6 +282,39 @@ def test_verify_missing_file(tmp_path, capsys):
     assert main(["verify", str(tmp_path / "absent.json")]) == 2
 
 
+def test_verify_rejects_a_negative_seed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--random", "2", "--seed", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --seed: must be a nonnegative integer, got '-1'" in captured.err
+
+
+def test_verify_rejects_a_file_with_random(example_one_file, capsys):
+    assert main(["verify", example_one_file, "--random", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: verify takes a channel file or --random N, not both" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "{bad}"],
+    ["verify", "{bad}"],
+    ["iterate", "{good}", "--state", "{bad}", "--steps", "1"],
+    ["build", "qc", "--stochastic", "{bad}"],
+    ["build", "from-kraus", "--kraus", "{bad}"],
+], ids=["analyze", "verify", "iterate-state", "build-qc", "build-from-kraus"])
+def test_file_that_is_not_utf8_exits_two(argv, example_one_file, tmp_path, capsys):
+    bad = tmp_path / "bin.json"
+    bad.write_bytes(b'{"n": \xff\xfe\x00bad')
+    argv = [arg.format(bad=bad, good=example_one_file) for arg in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {bad} is not UTF-8 text at byte 6: invalid start byte" in captured.err
+
+
 @pytest.fixture
 def depolarizing_file(tmp_path):
     path = tmp_path / "depol.json"

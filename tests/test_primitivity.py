@@ -306,40 +306,50 @@ def test_alive_table_matches_the_symmetrize_and_count_reference():
             assert got.tobytes() == _reference_alive_table(stack).tobytes()
 
 
-def test_lazy_alive_table_matches_the_full_table(monkeypatch):
-    # asked in any order, the on-demand table answers bit for bit as the full
-    # table; it solves each mask at most once, and only below an alive parent
-    solved = []
+def _count_eigvalsh(monkeypatch):
+    """Count np.linalg.eigvalsh calls from here on; returns the one-item counter."""
+    calls = [0]
+    eigvalsh = np.linalg.eigvalsh
 
-    def counting(stack, mask, tol):
-        solved.append(mask)
-        return has_kernel(stack, mask, tol)
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return eigvalsh(*args, **kwargs)
 
-    has_kernel = primitivity._has_kernel
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
+def test_masked_alive_table_matches_the_full_table(monkeypatch):
+    # at every asked mask the masked table reads as the full table; it solves
+    # exactly the masks on the asked lowest-bit chains whose parent is alive
     rng = np.random.default_rng(84)
+    tables = []
     for form in _table_oracle_forms():
         stacks = [form.states]
         stacks += [iterated_form(form, m).effects for m in range(1, wielandt_bound(form.r) + 2)]
-        for stack in stacks:
-            table = primitivity._alive_table(stack, DEFAULT_TOL)
-            monkeypatch.setattr(primitivity, "_has_kernel", counting)
-            del solved[:]
-            lazy = primitivity._LazyAliveTable(stack, DEFAULT_TOL)
-            masks = rng.permutation(len(table))
-            for asked in (masks[:len(masks) // 2], masks):
-                assert lazy[asked].tobytes() == table[asked].tobytes()
-            monkeypatch.setattr(primitivity, "_has_kernel", has_kernel)
-            # asked every mask, it has solved exactly the masks the full table solves
-            assert sorted(solved) == [mask for mask in range(1, len(table))
-                                      if table[mask & (mask - 1)]]
+        tables += [(stack, primitivity._alive_table(stack, DEFAULT_TOL)) for stack in stacks]
+    solves = _count_eigvalsh(monkeypatch)
+    for stack, table in tables:
+        masks = rng.permutation(len(table))
+        for asked in (masks[:0], masks[:3], masks[:len(masks) // 2], masks):
+            chains = set()
+            for mask in asked:
+                while mask:
+                    chains.add(int(mask))
+                    mask &= mask - 1
+            solves[0] = 0
+            got = primitivity._alive_table(stack, DEFAULT_TOL, asked)
+            assert got[asked].tobytes() == table[asked].tobytes()
+            assert solves[0] == sum(1 for mask in chains if table[mask & (mask - 1)])
+            assert not got[[mask for mask in range(1, len(got)) if mask not in chains]].any()
 
 
 def test_strictly_positive_at_never_builds_the_state_table(monkeypatch):
     calls = []
 
-    def counting(mats, tol):
-        calls.append(any(mats is form.states for form in forms))
-        return alive_table(mats, tol)
+    def counting(mats, tol, masks=None):
+        calls.append((any(mats is form.states for form in forms), masks is None))
+        return alive_table(mats, tol, masks)
 
     forms = [example_one(), singular_sum_form(), qc_from_stochastic(wielandt_matrix(5)),
              primitive_qc_form(np.random.default_rng(39), 6)]
@@ -349,7 +359,19 @@ def test_strictly_positive_at_never_builds_the_state_table(monkeypatch):
         for m in (1, 2, 3):
             strictly_positive_at(form, m)
         sweep_positive_iterate(form)
-    assert calls and not any(calls)  # only iterated-effect tables are built
+    assert (True, False) in calls and (False, True) in calls
+    # state tables are solved at the asked masks only, iterated-effect tables in full
+    assert all(is_states != full for is_states, full in calls)
+
+
+@pytest.mark.parametrize("r, solves", [(6, 1846), (7, 4848), (8, 12030)])
+def test_sweep_solve_counts_on_wielandt_qc_forms(r, solves, monkeypatch):
+    # one eigvalsh per solved mask: every mask of each iterated-effect table
+    # below an alive parent, and the state masks its candidate splits need
+    form = qc_from_stochastic(wielandt_matrix(r))
+    calls = _count_eigvalsh(monkeypatch)
+    assert sweep_positive_iterate(form) == (True, r * r - 2 * r + 2)
+    assert calls[0] == solves
 
 
 @pytest.mark.parametrize("r", range(2, 9))
