@@ -51,10 +51,12 @@ class HolevoForm:
     (``effects[k]``, ``states[k]``); both fields are read-only complex
     arrays of shape (r, n, n), so every contraction over the pair index runs
     on them as they are, and code that wants pairs zips them. Both stacks,
-    and every subset sum ``stack[members].sum(axis=0)`` of them, are exactly
-    Hermitian (``np.array_equal(a, a.conj().swapaxes(-1, -2))``): the
-    constructors store Hermitian parts (A + A*)/2, and entries (i, j) and
-    (j, i) of a sum come from the same additions of conjugate values. Every
+    and every subset sum of them in any order of addition (such as
+    ``stack[members].sum(axis=0)``, or the highest-index-first running sums
+    of ``primitivity._alive_table``), are exactly Hermitian
+    (``np.array_equal(a, a.conj().swapaxes(-1, -2))``): the constructors
+    store Hermitian parts (A + A*)/2, and entries (i, j) and (j, i) of a
+    sum come from the same additions of conjugate values. Every
     operation on the form is pure. Derived quantities that several analyses
     share are cached on the instance. Forms compare and hash by identity:
     two forms built from equal data are distinct objects with distinct caches.

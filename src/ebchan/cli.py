@@ -8,7 +8,8 @@ Commands::
     ebchan iterate FILE --state FILE --steps M
     ebchan verify [FILE | --random N] [--seed K]
 
-Exit codes: 0 success, 1 internal-consistency failure, 2 input/usage error.
+Exit codes: 0 success, 1 internal-consistency failure, 2 input/usage error
+(out of memory included).
 Text output rounds to 6 significant digits; machine output (JSON) keeps
 full precision so verdicts are reproducible from the report alone.
 """
@@ -230,6 +231,10 @@ def cmd_build(args) -> int:
             return _usage_error(f"build {kind} requires --n")
         if args.n < 1:
             return _usage_error(f"--n must be a positive integer, got {args.n}")
+        nbytes = args.n * args.n * np.dtype(np.complex128).itemsize
+        if nbytes > np.iinfo(np.intp).max:
+            return _usage_error(f"--n {args.n} needs {args.n} x {args.n} complex arrays of "
+                                f"{nbytes} bytes each, more than numpy can address")
         form = depolarizing(args.n) if kind == "depolarizing" else map_to_diagonal(args.n)
         meta = {"builder": kind, "n": str(args.n)}
     elif kind == "qc":
@@ -251,7 +256,7 @@ def cmd_build(args) -> int:
 def cmd_analyze(args) -> int:
     tol = _tolerances_from(args)
     doc = _loads(_read_text(args.file), "channel document")
-    form = document_to_form(doc, tol)  # validates 'metadata' as strings to strings
+    form = document_to_form(doc, tol)  # validates 'metadata' as UTF-8 strings to strings
     name = (doc.get("metadata") or {}).get("name")
     report = analyze_form(form, tol)
     if args.format == "machine":
@@ -412,6 +417,10 @@ def main(argv=None) -> int:
         return 1
     except (EbchanError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: {args.command} ran out of memory: {exc or type(exc).__name__}",
+              file=sys.stderr)
         return 2
 
 

@@ -9,10 +9,13 @@ operators the kernel of a sum is the intersection of the kernels.
 
 Each side of that test is an (r, n, n) stack of validated PSD matrices,
 the states or the iterated effects. One routine, ``_alive_table``, decides
-which subset sums ``stack[members].sum(axis=0)`` have a kernel, by one
-``eigvalsh`` each (the sums are exactly Hermitian, see ``HolevoForm``): a
-kernel iff lambda_min < zero_eig_tol * max(1, lambda_max), and NotPSD for
-lambda_min below -psd_tol * max(1, lambda_max). It fills every mask or only
+which subset sums have a kernel, by one ``eigvalsh`` each (the sums are
+exactly Hermitian, see ``HolevoForm``): a kernel iff lambda_min <
+zero_eig_tol * max(1, lambda_max), and NotPSD for lambda_min below
+-psd_tol * max(1, lambda_max). It walks the masks depth-first and builds
+each sum from its parent's with one addition, so its members are added
+from the highest index down, and a sum of three or more can differ in its
+last bits from ``stack[members].sum(axis=0)``. It fills every mask or only
 those asked for, and its callers are of two kinds.
 ``channel_primitivity_index`` fills the full state table once per search,
 so ``analyze`` and ``run_channel_checks`` raise NotPSD wherever a state
@@ -87,26 +90,42 @@ def _alive_table(stack, tol, masks=None):
     ``stack`` holds r validated PSD matrices as an exactly Hermitian (r, n, n)
     array, so each subset sum goes to ``eigvalsh`` as it is. Downward
     closed: adding terms can only shrink the kernel, so a dead parent (mask
-    without its lowest bit) kills the mask without a solve. With ``masks``
-    given, only those masks and their lowest-bit parent chains are walked,
-    so the asked entries are the full table's, every other entry reads
-    False, and NotPSD is raised only for the masks solved.
+    without its lowest bit) kills the mask without a solve. The masks are
+    walked depth-first down that parent tree, whose children of P are
+    ``P | 1 << k`` for each k below P's lowest bit in ascending k: that is
+    increasing mask order, and each child's sum is its parent's plus
+    ``stack[k]``, one addition into a buffer per depth. So the members of a
+    sum are added from the highest index down; a sum of three or more can
+    differ in its last bits from ``stack[members].sum(axis=0)``, and it is
+    exactly Hermitian all the same. With ``masks`` given, only those masks
+    and their lowest-bit parent chains are walked, so the asked entries are
+    the full table's, every other entry reads False, and NotPSD is raised
+    only for the masks solved.
     """
-    alive = np.zeros(1 << len(stack), dtype=bool)
+    r = len(stack)
+    alive = np.zeros(1 << r, dtype=bool)
     alive[0] = True  # empty sum is the zero matrix, kernel is everything
-    walk = range(1, len(alive))
+    chains = None
     if masks is not None:
         chains = set()
         for mask in map(int, masks):
             while mask and mask not in chains:
                 chains.add(mask)
                 mask &= mask - 1
-        walk = sorted(chains)
-    for mask in walk:
-        if alive[mask & (mask - 1)]:
-            members = [k for k in range(len(stack)) if mask >> k & 1]
-            w = np.linalg.eigvalsh(stack[members].sum(axis=0))  # ascending
+    sums = np.zeros((r + 1,) + stack.shape[1:], dtype=stack.dtype)
+
+    def walk(parent, low, depth):
+        for k in range(low):
+            mask = parent | 1 << k
+            if chains is not None and mask not in chains:
+                continue
+            h = np.add(sums[depth], stack[k], out=sums[depth + 1])
+            w = np.linalg.eigvalsh(h)  # ascending
             alive[mask] = w[0] < _zero_cut(w[0], w[-1], tol, "subset kernel test")
+            if alive[mask]:
+                walk(mask, k, depth + 1)
+
+    walk(0, r, 0)
     return alive
 
 

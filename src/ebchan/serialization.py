@@ -6,7 +6,7 @@ Channel document (JSON, UTF-8)::
       "format_version": "1",
       "n": 2,
       "pairs": [{"F": <matrix>, "R": <matrix>}, ...],
-      "metadata": {"name": "..."}          # optional string map
+      "metadata": {"name": "..."}          # optional map of UTF-8 strings
     }
 
 where ``<matrix>`` is an n x n array of two-element ``[re, im]`` arrays.
@@ -191,6 +191,14 @@ def document_to_form(doc, tol: Tolerances = DEFAULT_TOL) -> HolevoForm:
                                  not all(isinstance(k, str) and isinstance(v, str)
                                          for k, v in metadata.items())):
         raise ValidationError("'metadata' must map strings to strings")
+    for key, value in (metadata or {}).items():
+        for part, text in (("key", key), ("value", value)):
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise ValidationError(
+                    f"'metadata' {part} of entry {ascii(key)} is not encodable as UTF-8: "
+                    f"{exc.reason} at character {exc.start}") from exc
 
     pairs = []
     for k, item in enumerate(pairs_field):

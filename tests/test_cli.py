@@ -74,6 +74,28 @@ def test_build_usage_errors(capsys):
     assert "--kraus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["depolarizing", "diag"])
+def test_build_rejects_an_n_beyond_numpy_s_address_space(kind, capsys):
+    # 16 * (10^9)^2 bytes: numpy itself would refuse, so nothing is allocated either way
+    assert main(["build", kind, "--n", "1000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "16000000000000000000 bytes" in captured.err
+    assert "more than numpy can address" in captured.err
+
+
+def test_out_of_memory_exits_two_and_names_the_command(capsys, monkeypatch):
+    def out_of_memory(n):
+        raise MemoryError(f"Unable to allocate 149. GiB for an array with shape ({n}, {n})")
+
+    monkeypatch.setattr("ebchan.cli.depolarizing", out_of_memory)
+    assert main(["build", "depolarizing", "--n", "100000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: build ran out of memory: Unable to allocate 149. GiB "
+                            "for an array with shape (100000, 100000)\n")
+
+
 def test_build_qc_round_trip(tmp_path, capsys):
     s = np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 0.5], [0.5, 0.5, 0.5]])
     src = tmp_path / "s.json"
@@ -271,6 +293,34 @@ def test_verify_bad_document(tmp_path, capsys):
     assert "document_validation" in out
     failures = json.loads(out[out.index("{"):])
     assert failures["failures"][0]["check"] == "document_validation"
+
+
+@pytest.fixture(params=["key", "value"])
+def lone_surrogate_file(request, tmp_path):
+    doc = json.loads(emit_channel_document(depolarizing(2)))
+    doc["metadata"] = {"name": "\ud800"} if request.param == "value" else {"\ud800": "x"}
+    path = tmp_path / "surrogate.json"
+    path.write_text(json.dumps(doc))  # ASCII: the surrogate is a \ud800 escape
+    return request.param, str(path)
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_analyze_rejects_a_lone_surrogate_in_metadata(lone_surrogate_file, fmt, capsys):
+    part, path = lone_surrogate_file
+    assert main(["analyze", path, "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: 'metadata' {part} of entry ")
+    assert "not encodable as UTF-8: surrogates not allowed" in captured.err
+
+
+def test_verify_reports_a_lone_surrogate_in_metadata(lone_surrogate_file, capsys):
+    part, path = lone_surrogate_file
+    assert main(["verify", path]) == 1
+    out = capsys.readouterr().out
+    failures = json.loads(out[out.index("{"):])["failures"]
+    assert [failure["check"] for failure in failures] == ["document_validation"]
+    assert failures[0]["detail"].startswith(f"'metadata' {part} of entry ")
 
 
 def test_verify_requires_target(capsys):

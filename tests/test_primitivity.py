@@ -283,7 +283,14 @@ def _reference_alive_table(stack, tol=DEFAULT_TOL):
     return alive
 
 
-def _table_oracle_forms():
+def _table_oracle_stacks():
+    """State stacks and iterated-effect stacks G^(m) for the table oracle tests.
+
+    Forms with r <= 8 give the state stack and G^(m) for every m the sweep
+    can test; sparse qc and pure-state forms at r = 10 and 12 give the state
+    stack and G^(m) for m = 1, 2, 3, whose alive chains run to sums of up to
+    12 members, each added in the walk's order and in the reference's.
+    """
     forms = [qc_from_stochastic(wielandt_matrix(r)) for r in range(2, 9)]
     for seed in (81, 82, 83):
         rng = np.random.default_rng(seed)
@@ -292,18 +299,25 @@ def _table_oracle_forms():
     forms.append(qc_from_stochastic([[1 - 1e-9, 0.5], [1e-9, 0.5]]))
     forms.append(make_holevo_form(2, [(0.5 * IDENT, E00),
                                       (0.5 * IDENT, np.diag([1 - 6e-9, 6e-9]))]))
-    return forms
+    stacks = []
+    for form in forms:
+        stacks.append(form.states)
+        stacks += [iterated_form(form, m).effects for m in range(1, wielandt_bound(form.r) + 2)]
+    rng = np.random.default_rng(85)
+    for r in (10, 12):
+        for form in (random_qc_form(rng, r, zero_fraction=0.6),
+                     random_holevo_form(rng, r, r, state_ranks=[1] * r)):
+            stacks.append(form.states)
+            stacks += [iterated_form(form, m).effects for m in (1, 2, 3)]
+    return stacks
 
 
 def test_alive_table_matches_the_symmetrize_and_count_reference():
     # on exactly Hermitian stacks the lambda_min test gives the symmetrize-and-count
-    # table bit for bit: the state stack and G^(m) for every m the sweep can test
-    for form in _table_oracle_forms():
-        stacks = [form.states]
-        stacks += [iterated_form(form, m).effects for m in range(1, wielandt_bound(form.r) + 2)]
-        for stack in stacks:
-            got = primitivity._alive_table(stack, DEFAULT_TOL)
-            assert got.tobytes() == _reference_alive_table(stack).tobytes()
+    # table bit for bit, although the walk adds each sum's members in another order
+    for stack in _table_oracle_stacks():
+        got = primitivity._alive_table(stack, DEFAULT_TOL)
+        assert got.tobytes() == _reference_alive_table(stack).tobytes()
 
 
 def _count_eigvalsh(monkeypatch):
@@ -323,11 +337,8 @@ def test_masked_alive_table_matches_the_full_table(monkeypatch):
     # at every asked mask the masked table reads as the full table; it solves
     # exactly the masks on the asked lowest-bit chains whose parent is alive
     rng = np.random.default_rng(84)
-    tables = []
-    for form in _table_oracle_forms():
-        stacks = [form.states]
-        stacks += [iterated_form(form, m).effects for m in range(1, wielandt_bound(form.r) + 2)]
-        tables += [(stack, primitivity._alive_table(stack, DEFAULT_TOL)) for stack in stacks]
+    tables = [(stack, primitivity._alive_table(stack, DEFAULT_TOL))
+              for stack in _table_oracle_stacks()]
     solves = _count_eigvalsh(monkeypatch)
     for stack, table in tables:
         masks = rng.permutation(len(table))
@@ -362,6 +373,16 @@ def test_strictly_positive_at_never_builds_the_state_table(monkeypatch):
     assert (True, False) in calls and (False, True) in calls
     # state tables are solved at the asked masks only, iterated-effect tables in full
     assert all(is_states != full for is_states, full in calls)
+
+
+@pytest.mark.parametrize("r, solves", [(6, 81), (7, 148), (8, 279)])
+def test_search_solve_counts_on_wielandt_qc_forms(r, solves, monkeypatch):
+    # one eigvalsh per solved mask: the full state table below alive parents,
+    # and the same for one iterated-effect table per m the window tests
+    form = qc_from_stochastic(wielandt_matrix(r))
+    calls = _count_eigvalsh(monkeypatch)
+    assert channel_primitivity_index(form).q_index == r * r - 2 * r + 2
+    assert calls[0] == solves
 
 
 @pytest.mark.parametrize("r, solves", [(6, 1846), (7, 4848), (8, 12030)])
