@@ -7,7 +7,7 @@ propagating.  Used by the ``verify`` CLI command and by the test suite.
 
 from __future__ import annotations
 
-__all__ = ["CheckResult", "all_passed", "run_channel_checks"]
+__all__ = ["CheckResult", "run_channel_checks"]
 
 from dataclasses import dataclass
 
@@ -174,7 +174,3 @@ def run_channel_checks(form: HolevoForm, tol: Tolerances = DEFAULT_TOL,
             out.append(_result("witness_soundness", False,
                                f"negative verdict at m = {res.m} carries no witness"))
     return out
-
-
-def all_passed(results) -> bool:
-    return all(res.ok for res in results)

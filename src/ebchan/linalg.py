@@ -13,7 +13,7 @@ from __future__ import annotations
 
 __all__ = [
     "DEFAULT_TOL", "Tolerances", "eig_general", "eig_hermitian", "is_pd",
-    "is_psd", "kernel_psd", "tensor", "unvec", "vec",
+    "kernel_psd", "vec",
 ]
 
 import math
@@ -60,8 +60,8 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
-def as_matrix(m, name="matrix"):
-    """Coerce to a finite 2-D complex array (copy, read-only)."""
+def as_square(m, name="matrix"):
+    """Coerce to a finite, nonempty, square complex array (copy, read-only)."""
     arr = np.array(m, dtype=np.complex128, order="C")
     if arr.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-D, got ndim={arr.ndim}")
@@ -69,15 +69,9 @@ def as_matrix(m, name="matrix"):
         raise DimensionMismatch(f"{name} must be nonempty, got shape {arr.shape}")
     if not np.all(np.isfinite(arr.view(np.float64))):
         raise ValidationError(f"{name} contains NaN or infinite entries")
-    arr.setflags(write=False)
-    return arr
-
-
-def as_square(m, name="matrix"):
-    """Coerce to a finite square complex array."""
-    arr = as_matrix(m, name)
     if arr.shape[0] != arr.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {arr.shape}")
+    arr.setflags(write=False)
     return arr
 
 
@@ -96,12 +90,6 @@ def eig_hermitian(h, tol: Tolerances = DEFAULT_TOL):
     w, v = np.linalg.eigh((arr + arr.conj().T) / 2.0)
     order = np.argsort(w)[::-1]
     return w[order].real, v[:, order]
-
-
-def is_psd(h, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True iff the Hermitian matrix has lambda_min >= -psd_tol * max(1, lambda_max)."""
-    w, _ = eig_hermitian(h, tol)
-    return bool(w[-1] >= -tol.psd_tol * max(1.0, w[0]))
 
 
 def is_pd(h, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -151,16 +139,3 @@ def vec(m):
     arr = as_square(m)
     return arr.reshape(-1).copy()
 
-
-def unvec(v):
-    """Inverse of ``vec``: reshape a length-n^2 vector to an n x n matrix."""
-    arr = np.asarray(v, dtype=np.complex128).reshape(-1)
-    n = int(round(np.sqrt(arr.size)))
-    if n * n != arr.size:
-        raise DimensionMismatch(f"vector of length {arr.size} is not n^2 for integer n")
-    return arr.reshape(n, n).copy()
-
-
-def tensor(a, b):
-    """Kronecker product with block (i, j) equal to a[i, j] * b."""
-    return np.kron(as_matrix(a, "a"), as_matrix(b, "b"))

@@ -29,9 +29,8 @@ from __future__ import annotations
 
 __all__ = [
     "SUBSET_CAP", "ChannelPrimitivityReport", "HolevoRankBounds",
-    "IndexBoundComparison", "StrictPositivityResult",
-    "channel_primitivity_index", "holevo_rank_bounds",
-    "quantum_wielandt_comparison", "strictly_positive_at",
+    "StrictPositivityResult", "channel_primitivity_index",
+    "holevo_rank_bounds", "strictly_positive_at",
     "sum_R_positive_definite", "sweep_positive_iterate",
 ]
 
@@ -291,28 +290,6 @@ def holevo_rank_bounds(form: HolevoForm, tol: Tolerances = DEFAULT_TOL) -> Holev
     lower = int(np.count_nonzero(sigma > _rank_cut(sigma[0], tol)))
     return HolevoRankBounds(lower=lower, upper=form.r,
                             q_upper_from_rank=_channel_index_bound(form.r))
-
-
-@dataclass(frozen=True)
-class IndexBoundComparison:
-    """Side-by-side channel-index bounds from the pair count and from Kraus count."""
-
-    q_bound_holevo: int
-    q_bound_quantum: int
-
-
-def quantum_wielandt_comparison(form: HolevoForm, d: int) -> IndexBoundComparison:
-    """Compare r^2 - 2r + 3 with the general-channel bound (n^2 - d + 1) n^2.
-
-    ``d`` is a Kraus-operator count for some implementation of the channel,
-    supplied by the caller; minimality is not checked here.
-    """
-    if d < 1:
-        raise ValueError(f"Kraus operator count must be positive, got {d}")
-    r, n = form.r, form.n
-    return IndexBoundComparison(
-        q_bound_holevo=_channel_index_bound(r),
-        q_bound_quantum=(n * n - d + 1) * n * n)
 
 
 def sweep_positive_iterate(form: HolevoForm, tol: Tolerances = DEFAULT_TOL):

@@ -8,8 +8,7 @@ from __future__ import annotations
 
 __all__ = [
     "random_channel", "random_density", "random_holevo_form",
-    "random_pure_state", "random_qc_form", "random_stochastic",
-    "wielandt_matrix",
+    "random_qc_form", "random_stochastic", "wielandt_matrix",
 ]
 
 import numpy as np
@@ -20,12 +19,6 @@ from .stochastic import make_stochastic
 
 # keeps the effect-normalizing Gram matrix invertible for any draw
 _EPS_IDENTITY = 1e-6
-
-
-def random_pure_state(rng, n: int):
-    """Haar-ish random unit vector in C^n."""
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return v / np.linalg.norm(v)
 
 
 def random_density(rng, n: int, rank: int | None = None):

@@ -29,7 +29,6 @@ from __future__ import annotations
 __all__ = [
     "emit_channel_document", "form_to_document", "parse_channel_document",
     "parse_kraus_file", "parse_state_file", "parse_stochastic_file",
-    "state_to_file", "stochastic_to_file",
 ]
 
 import json
@@ -246,12 +245,6 @@ def parse_stochastic_file(text: str):
     return _float_array(leaves, where, r).reshape(r, r)
 
 
-def stochastic_to_file(s) -> str:
-    arr = np.asarray(s, dtype=np.float64)
-    return _render_json({"r": arr.shape[0],
-                         "entries": arr.tolist()}) + "\n"
-
-
 def parse_state_file(text: str, tol: Tolerances = DEFAULT_TOL):
     """Read and validate ``{"n": ..., "rho": <matrix>}``; returns the density matrix."""
     doc = _loads(text, "state file")
@@ -260,11 +253,6 @@ def parse_state_file(text: str, tol: Tolerances = DEFAULT_TOL):
     n = _positive_int(doc, "n")
     rho = literal_to_matrix(doc.get("rho"), "rho")
     return require_density(rho, n, tol, name="rho")
-
-
-def state_to_file(rho) -> str:
-    arr = np.asarray(rho, dtype=np.complex128)
-    return _render_json({"n": arr.shape[0], "rho": matrix_to_literal(arr)}) + "\n"
 
 
 def parse_kraus_file(text: str):

@@ -8,8 +8,7 @@ of sub-stochastic entries can never underflow the test.
 from __future__ import annotations
 
 __all__ = [
-    "PrimitivityVerdict", "make_stochastic", "primitivity_index",
-    "stationary_distribution", "wielandt_bound",
+    "PrimitivityVerdict", "make_stochastic", "primitivity_index", "wielandt_bound",
 ]
 
 from dataclasses import dataclass
@@ -26,12 +25,11 @@ class PrimitivityVerdict:
     """Outcome of the exact index-of-primitivity search.
 
     ``index`` is None exactly when the matrix is not primitive; when present
-    it never exceeds ``wielandt_bound``.
+    it never exceeds ``wielandt_bound(r)``.
     """
 
     primitive: bool
     index: int | None
-    wielandt_bound: int
 
 
 def wielandt_bound(r: int) -> int:
@@ -41,22 +39,16 @@ def wielandt_bound(r: int) -> int:
     return r * r - 2 * r + 2
 
 
-def make_stochastic(entries, tol: Tolerances = DEFAULT_TOL, *, r: int | None = None):
+def make_stochastic(entries, tol: Tolerances = DEFAULT_TOL):
     """Validate a column-stochastic matrix and return it as a clean float array.
 
-    ``entries`` is a square array, or a flat row-major sequence when ``r``
-    is given; a given ``r`` is cross-checked against the shape either way.
-    Entries in ``[-stochastic_tol, 0)`` are clamped to 0; more negative
-    entries raise NegativeEntry. Every column must sum to 1 within
-    ``stochastic_tol``.
+    ``entries`` is a square array. Entries in ``[-stochastic_tol, 0)`` are
+    clamped to 0; more negative entries raise NegativeEntry. Every column
+    must sum to 1 within ``stochastic_tol``.
     """
     arr = np.array(entries, dtype=np.float64)
-    if arr.ndim == 1 and r is not None and arr.size == r * r:
-        arr = arr.reshape(r, r)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise DimensionMismatch(f"expected a nonempty square matrix, got shape {arr.shape}")
-    if r is not None and arr.shape[0] != r:
-        raise DimensionMismatch(f"matrix is {arr.shape[0]} x {arr.shape[0]}, expected r = {r}")
     if not np.all(np.isfinite(arr)):
         raise ValidationError("matrix contains NaN or infinite entries")
     low = float(arr.min())
@@ -80,24 +72,20 @@ def primitivity_index(s, tol: Tolerances = DEFAULT_TOL) -> PrimitivityVerdict:
     power = p
     for m in range(1, bound + 1):
         if power.all():
-            return PrimitivityVerdict(primitive=True, index=m, wielandt_bound=bound)
+            return PrimitivityVerdict(primitive=True, index=m)
         # 0/1 products are bounded by r before re-clamping, so uint64 cannot overflow
         power = (power @ p > 0).astype(np.uint64)
-    return PrimitivityVerdict(primitive=False, index=None, wielandt_bound=bound)
-
-
-def stationary_distribution(s, tol: Tolerances = DEFAULT_TOL):
-    """Probability vector pi with S pi = pi, plus a uniqueness flag.
-
-    Solves the stacked least-squares system [(S - I); 1^T] pi = [0; 1] and
-    clamps round-off negatives. ``unique`` reports whether the numerical
-    eigenvalue-1 eigenspace of S (null space of S - I) is one-dimensional.
-    """
-    return _solve_stationary(make_stochastic(s, tol), tol)
+    return PrimitivityVerdict(primitive=False, index=None)
 
 
 def _solve_stationary(arr, tol: Tolerances):
-    """``stationary_distribution`` for an S that ``make_stochastic`` already returned."""
+    """Probability vector pi with S pi = pi, plus a uniqueness flag.
+
+    ``arr`` is an S that ``make_stochastic`` already returned. Solves the
+    stacked least-squares system [(S - I); 1^T] pi = [0; 1] and clamps
+    round-off negatives. The flag reports whether the numerical
+    eigenvalue-1 eigenspace of S (null space of S - I) is one-dimensional.
+    """
     r = arr.shape[0]
     lhs = np.vstack([arr - np.eye(r), np.ones((1, r))])
     rhs = np.zeros(r + 1)

@@ -16,14 +16,17 @@ from ebchan.cli import main
 from ebchan.errors import ConsistencyError
 from ebchan.sampling import random_holevo_form
 from ebchan.serialization import (emit_channel_document, matrix_to_literal,
-                                  parse_channel_document, state_to_file,
-                                  stochastic_to_file)
+                                  parse_channel_document)
 
 E00 = np.diag([1.0, 0.0]).astype(complex)
 E11 = np.diag([0.0, 1.0]).astype(complex)
 PLUS = np.full((2, 2), 0.5, dtype=complex)
 MINUS = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
 IDENT = np.eye(2, dtype=complex)
+
+
+def state_file_text(rho) -> str:
+    return json.dumps({"n": len(rho), "rho": matrix_to_literal(rho)})
 
 
 @pytest.fixture
@@ -99,7 +102,7 @@ def test_out_of_memory_exits_two_and_names_the_command(capsys, monkeypatch):
 def test_build_qc_round_trip(tmp_path, capsys):
     s = np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 0.5], [0.5, 0.5, 0.5]])
     src = tmp_path / "s.json"
-    src.write_text(stochastic_to_file(s))
+    src.write_text(json.dumps({"r": 3, "entries": s.tolist()}))
     out = tmp_path / "qc.json"
     assert main(["build", "qc", "--stochastic", str(src), "-o", str(out)]) == 0
     form = parse_channel_document(out.read_text())
@@ -215,7 +218,7 @@ def test_analyze_tolerance_override(example_one_file, capsys):
 
 def test_iterate_flip_example(example_one_file, tmp_path, capsys):
     state = tmp_path / "minus.json"
-    state.write_text(state_to_file(MINUS))
+    state.write_text(state_file_text(MINUS))
     assert main(["iterate", example_one_file, "--state", str(state),
                  "--steps", "2"]) == 0
     out = capsys.readouterr().out
@@ -229,14 +232,14 @@ def test_iterate_depolarizing(tmp_path, capsys):
     chan = tmp_path / "depol.json"
     chan.write_text(emit_channel_document(depolarizing(2)))
     state = tmp_path / "e00.json"
-    state.write_text(state_to_file(E00))
+    state.write_text(state_file_text(E00))
     assert main(["iterate", str(chan), "--state", str(state), "--steps", "3"]) == 0
     assert "step 3" in capsys.readouterr().out
 
 
 def test_iterate_dimension_mismatch(example_one_file, tmp_path, capsys):
     state = tmp_path / "big.json"
-    state.write_text(state_to_file(np.eye(3) / 3))
+    state.write_text(state_file_text(np.eye(3) / 3))
     assert main(["iterate", example_one_file, "--state", str(state),
                  "--steps", "1"]) == 2
     assert "dimension" in capsys.readouterr().err
@@ -244,7 +247,7 @@ def test_iterate_dimension_mismatch(example_one_file, tmp_path, capsys):
 
 def test_iterate_rejects_zero_steps(example_one_file, tmp_path, capsys):
     state = tmp_path / "minus.json"
-    state.write_text(state_to_file(MINUS))
+    state.write_text(state_file_text(MINUS))
     assert main(["iterate", example_one_file, "--state", str(state),
                  "--steps", "0"]) == 2
     assert "--steps" in capsys.readouterr().err
@@ -288,11 +291,10 @@ def test_verify_bad_document(tmp_path, capsys):
         "pairs": [{"F": matrix_to_literal(0.9 * np.eye(2)),
                    "R": matrix_to_literal(np.eye(2) / 2)}],
     }))
-    assert main(["verify", str(path)]) == 1
-    out = capsys.readouterr().out
-    assert "document_validation" in out
-    failures = json.loads(out[out.index("{"):])
-    assert failures["failures"][0]["check"] == "document_validation"
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: effects sum to I only within 1.000e-01, tolerance 1.0e-10\n"
 
 
 @pytest.fixture(params=["key", "value"])
@@ -316,11 +318,11 @@ def test_analyze_rejects_a_lone_surrogate_in_metadata(lone_surrogate_file, fmt, 
 
 def test_verify_reports_a_lone_surrogate_in_metadata(lone_surrogate_file, capsys):
     part, path = lone_surrogate_file
-    assert main(["verify", path]) == 1
-    out = capsys.readouterr().out
-    failures = json.loads(out[out.index("{"):])["failures"]
-    assert [failure["check"] for failure in failures] == ["document_validation"]
-    assert failures[0]["detail"].startswith(f"'metadata' {part} of entry ")
+    assert main(["verify", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: 'metadata' {part} of entry ")
+    assert "not encodable as UTF-8: surrogates not allowed" in captured.err
 
 
 def test_verify_requires_target(capsys):

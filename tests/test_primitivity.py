@@ -7,11 +7,10 @@ from ebchan import primitivity
 from ebchan.errors import NotPSD, SubsetCapExceeded
 from ebchan.linalg import DEFAULT_TOL, kernel_psd
 from ebchan.primitivity import (SUBSET_CAP, channel_primitivity_index,
-                                holevo_rank_bounds, quantum_wielandt_comparison,
-                                strictly_positive_at, sum_R_positive_definite,
-                                sweep_positive_iterate)
-from ebchan.sampling import (random_channel, random_holevo_form, random_pure_state,
-                             random_qc_form, wielandt_matrix)
+                                holevo_rank_bounds, strictly_positive_at,
+                                sum_R_positive_definite, sweep_positive_iterate)
+from ebchan.sampling import (random_channel, random_holevo_form, random_qc_form,
+                             wielandt_matrix)
 from ebchan.stochastic import wielandt_bound
 
 E00 = np.diag([1.0, 0.0]).astype(complex)
@@ -75,7 +74,8 @@ def test_true_verdict_positive_on_random_pure_states():
     squared = strictly_positive_at(form, 2)
     assert squared.holds
     for _ in range(500):
-        psi = random_pure_state(rng, 2)
+        psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        psi /= np.linalg.norm(psi)
         out = apply_linear(form, apply_linear(form, np.outer(psi, psi.conj())))
         assert np.linalg.eigvalsh(out)[0] > 0.0
 
@@ -220,17 +220,6 @@ def test_holevo_rank_bounds_example_one():
     report = channel_primitivity_index(example_one())
     assert bounds.lower <= bounds.upper == 2
     assert report.q_index <= bounds.q_upper_from_rank == 3
-
-
-def test_quantum_wielandt_comparison():
-    two = quantum_wielandt_comparison(example_one(), d=2)
-    assert (two.q_bound_holevo, two.q_bound_quantum) == (3, 12)
-    one = quantum_wielandt_comparison(depolarizing(2), d=4)
-    assert (one.q_bound_holevo, one.q_bound_quantum) == (2, 4)
-    three = quantum_wielandt_comparison(map_to_diagonal(3), d=9)
-    assert (three.q_bound_holevo, three.q_bound_quantum) == (6, 9)
-    with pytest.raises(ValueError):
-        quantum_wielandt_comparison(example_one(), d=0)
 
 
 def test_structural_decision_matches_definition_sweep():

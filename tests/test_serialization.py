@@ -12,8 +12,7 @@ from ebchan.serialization import (FORMAT_VERSION, emit_channel_document,
                                   form_to_document, literal_to_matrix,
                                   matrix_to_literal,
                                   parse_channel_document, parse_kraus_file,
-                                  parse_state_file, parse_stochastic_file,
-                                  state_to_file, stochastic_to_file)
+                                  parse_state_file, parse_stochastic_file)
 
 E00 = np.diag([1.0, 0.0]).astype(complex)
 E11 = np.diag([0.0, 1.0]).astype(complex)
@@ -69,12 +68,9 @@ def reference_matrix_to_literal(arr):
 def test_emitted_text_matches_the_per_entry_emitter(n, monkeypatch):
     rng = np.random.default_rng(400 + n)
     forms = [random_channel(rng, n, r) for r in (1, 2, n + 1)] + [depolarizing(n)]
-    rho = forms[0].states[0]
     texts = [emit_channel_document(form, {"name": f"n{n}"}) for form in forms]
-    texts.append(state_to_file(rho))
     monkeypatch.setattr(serialization, "matrix_to_literal", reference_matrix_to_literal)
-    assert texts == [emit_channel_document(form, {"name": f"n{n}"}) for form in forms] + [
-        state_to_file(rho)]
+    assert texts == [emit_channel_document(form, {"name": f"n{n}"}) for form in forms]
 
 
 def test_emitted_layout_is_pinned():
@@ -87,11 +83,6 @@ def test_emitted_layout_is_pinned():
         '        [[-0.5, 0.0], [0.5, 0.0]]\n      ],\n      "R": [\n'
         '        [[0.0, 0.0], [0.0, 0.0]],\n        [[0.0, 0.0], [1.0, 0.0]]\n      ]\n'
         '    }\n  ],\n  "metadata": {\n    "name": "projective-flip"\n  }\n}\n')
-    assert stochastic_to_file(np.array([[0.5, 1.0], [0.5, 0.0]])) == (
-        '{\n  "r": 2,\n  "entries": [[0.5, 1.0], [0.5, 0.0]]\n}\n')
-    assert state_to_file(np.array([[0.75, 0.25j], [-0.25j, 0.25]])) == (
-        '{\n  "n": 2,\n  "rho": [\n    [[0.75, 0.0], [0.0, 0.25]],\n'
-        '    [[-0.0, -0.25], [0.25, 0.0]]\n  ]\n}\n')
 
 
 def test_matrix_literal_keeps_every_float():
@@ -182,7 +173,7 @@ def test_form_to_document_omits_empty_metadata():
 
 def test_stochastic_file_round_trip():
     s = np.array([[0.5, 0.25], [0.5, 0.75]])
-    back = parse_stochastic_file(stochastic_to_file(s))
+    back = parse_stochastic_file(json.dumps({"r": 2, "entries": s.tolist()}))
     assert back.dtype == np.float64
     assert np.array_equal(back, s)
 
@@ -207,11 +198,11 @@ def test_stochastic_file_rejects_bad_documents():
 
 def test_state_file_round_trip_and_validation():
     rho = np.array([[0.75, 0.25j], [-0.25j, 0.25]], dtype=complex)
-    back = parse_state_file(state_to_file(rho))
+    back = parse_state_file(json.dumps({"n": 2, "rho": matrix_to_literal(rho)}))
     assert np.array_equal(back, rho)
 
     with pytest.raises(NotDensity):
-        parse_state_file(state_to_file(np.eye(2)))
+        parse_state_file(json.dumps({"n": 2, "rho": matrix_to_literal(np.eye(2))}))
     with pytest.raises(ValidationError, match="positive integer"):
         parse_state_file('{"n": -1, "rho": [[[1.0, 0.0]]]}')
 
