@@ -27,18 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ColumnSumViolation,
-    DimensionMismatch,
-    KrausRankTooHigh,
-    NotDensity,
-    NotPOVM,
-    NotPSD,
-    NotStochastic,
-    TracePreservationViolation,
-    ValidationError,
-    ZeroEffect,
-)
+from .errors import ValidationError
 from .linalg import DEFAULT_TOL, Tolerances, _rank_cut, as_square, eig_general, eig_hermitian
 from .stochastic import _solve_stationary, make_stochastic
 
@@ -97,31 +86,30 @@ def _hermitian_stack(mats):
     return out
 
 
-def _require_psd(m, n, tol: Tolerances, name, error, pair_index):
+def _require_psd(m, n, tol: Tolerances, name):
     """Validate a PSD matrix of outside input; return it and its descending eigenvalues.
 
-    DimensionMismatch if it is not square or not n x n (n None skips that);
-    ``error`` if it is not Hermitian or lambda_min < -psd_tol * max(1, lambda_max).
+    ValidationError if it is not square or not n x n (n None skips that),
+    not Hermitian, or has lambda_min < -psd_tol * max(1, lambda_max).
     """
     arr = as_square(m, name)
     if n is not None and arr.shape[0] != n:
-        raise DimensionMismatch(f"{name} must be {n}x{n}, got {arr.shape[0]}x{arr.shape[1]}",
-                                pair_index=pair_index)
+        raise ValidationError(f"{name} must be {n}x{n}, got {arr.shape[0]}x{arr.shape[1]}")
     try:
         w, _ = eig_hermitian(arr, tol)
     except ValidationError as exc:
-        raise error(f"{name} is not Hermitian: {exc}", pair_index=pair_index) from exc
+        raise ValidationError(f"{name} is not Hermitian: {exc}") from exc
     if w[-1] < -tol.psd_tol * max(1.0, w[0]):
-        raise error(f"{name} is not PSD: lambda_min = {w[-1]:.3e}", pair_index=pair_index)
+        raise ValidationError(f"{name} is not PSD: lambda_min = {w[-1]:.3e}")
     return arr, w
 
 
-def require_density(rho, n=None, tol: Tolerances = DEFAULT_TOL, name="rho", pair_index=None):
+def require_density(rho, n=None, tol: Tolerances = DEFAULT_TOL, name="rho"):
     """Validate a density matrix (PSD, unit trace) and return it as an array."""
-    arr, _ = _require_psd(rho, n, tol, name, NotDensity, pair_index)
+    arr, _ = _require_psd(rho, n, tol, name)
     trace = complex(np.trace(arr))
     if abs(trace - 1.0) > tol.stochastic_tol:
-        raise NotDensity(f"{name} has trace {trace}, expected 1", pair_index=pair_index)
+        raise ValidationError(f"{name} has trace {trace}, expected 1")
     return arr
 
 
@@ -134,23 +122,23 @@ def make_holevo_form(n, pairs, tol: Tolerances = DEFAULT_TOL) -> HolevoForm:
     """
     n = int(n)
     if n < 1:
-        raise DimensionMismatch(f"system dimension must be positive, got {n}")
+        raise ValidationError(f"system dimension must be positive, got {n}")
     pairs = list(pairs)
     if not pairs:
         raise ValidationError("a channel needs at least one (F, R) pair")
 
     effects, states = [], []
     for k, (f, r) in enumerate(pairs):
-        f, w = _require_psd(f, n, tol, f"F[{k}]", NotPSD, k)
+        f, w = _require_psd(f, n, tol, f"F[{k}]")
         if w[0] <= tol.stochastic_tol:
-            raise ZeroEffect(f"F[{k}] is numerically zero", pair_index=k)
+            raise ValidationError(f"F[{k}] is numerically zero")
         effects.append(f)
-        states.append(require_density(r, n, tol, name=f"R[{k}]", pair_index=k))
+        states.append(require_density(r, n, tol, name=f"R[{k}]"))
 
     closure = sum(effects) - np.eye(n)
     defect = float(np.max(np.abs(closure)))
     if defect > tol.stochastic_tol:
-        raise NotPOVM(f"effects sum to I only within {defect:.3e}, tolerance "
+        raise ValidationError(f"effects sum to I only within {defect:.3e}, tolerance "
                       f"{tol.stochastic_tol:.1e}")
     return HolevoForm(n=n, effects=_hermitian_stack(effects),
                       states=_hermitian_stack(states))
@@ -164,13 +152,12 @@ def apply_linear(form: HolevoForm, x):
 
     ``x`` is one n x n matrix or a stack of shape (..., n, n); the result
     has the shape of ``x`` and holds the channel applied to each trailing
-    n x n matrix. Raises DimensionMismatch when ``x`` has fewer than two
-    axes or a trailing shape other than (n, n), and ValidationError when it
-    holds NaN or infinite entries.
+    n x n matrix. Raises ValidationError when ``x`` has fewer than two
+    axes, a trailing shape other than (n, n), or NaN or infinite entries.
     """
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim < 2 or x.shape[-2:] != (form.n, form.n):
-        raise DimensionMismatch(f"operand must be {form.n}x{form.n} or a stack of them, "
+        raise ValidationError(f"operand must be {form.n}x{form.n} or a stack of them, "
                                 f"got shape {x.shape}")
     if not np.isfinite(x).all():
         raise ValidationError("x contains NaN or infinite entries")
@@ -287,8 +274,8 @@ def _induced_stochastic(form: HolevoForm, tol: Tolerances):
     s = np.einsum("iab,jba->ij", form.effects, form.states).real
     try:
         return make_stochastic(s, tol)
-    except ColumnSumViolation as exc:
-        raise ColumnSumViolation(f"induced matrix is not column-stochastic "
+    except ValidationError as exc:
+        raise ValidationError(f"induced matrix is not column-stochastic "
                                  f"(corrupted form?): {exc}") from exc
 
 
@@ -473,12 +460,7 @@ def depolarizing(n: int) -> HolevoForm:
 
 def map_to_diagonal(n: int) -> HolevoForm:
     """Channel zeroing all off-diagonal entries: pairs (|k><k|, |k><k|)."""
-    pairs = []
-    for k in range(n):
-        proj = np.zeros((n, n), dtype=np.complex128)
-        proj[k, k] = 1.0
-        pairs.append((proj, proj))
-    return make_holevo_form(n, pairs)
+    return qc_from_stochastic(np.eye(n))
 
 
 def qc_from_stochastic(s, tol: Tolerances = DEFAULT_TOL) -> HolevoForm:
@@ -490,7 +472,7 @@ def qc_from_stochastic(s, tol: Tolerances = DEFAULT_TOL) -> HolevoForm:
     try:
         arr = make_stochastic(s, tol)
     except ValidationError as exc:
-        raise NotStochastic(f"not a column-stochastic matrix: {exc}") from exc
+        raise ValidationError(f"not a column-stochastic matrix: {exc}") from exc
     n = arr.shape[0]
     pairs = []
     for k in range(n):
@@ -513,18 +495,16 @@ def holevo_from_rank_one_kraus(operators, tol: Tolerances = DEFAULT_TOL) -> Hole
     pairs = []
     for k, v in enumerate(ops):
         if v.shape[0] != n:
-            raise DimensionMismatch(f"V[{k}] must be {n}x{n}, got {v.shape}", pair_index=k)
+            raise ValidationError(f"V[{k}] must be {n}x{n}, got {v.shape}")
         sigma = np.linalg.svd(v, compute_uv=False)
         rank = int(np.count_nonzero(sigma > _rank_cut(sigma[0], tol)))
         if rank != 1:
-            raise KrausRankTooHigh(f"V[{k}] has numerical rank {rank}, expected 1",
-                                   pair_index=k)
+            raise ValidationError(f"V[{k}] has numerical rank {rank}, expected 1")
         gram = v.conj().T @ v
         image = v @ v.conj().T
         pairs.append((gram, image / np.trace(image).real))
     closure = sum(f for f, _ in pairs) - np.eye(n)
     defect = float(np.max(np.abs(closure)))
     if defect > tol.stochastic_tol:
-        raise TracePreservationViolation(
-            f"sum_k V_k* V_k differs from I by {defect:.3e}")
+        raise ValidationError(f"sum_k V_k* V_k differs from I by {defect:.3e}")
     return make_holevo_form(n, pairs, tol)

@@ -20,6 +20,7 @@ from .linalg import DEFAULT_TOL, Tolerances, vec
 from .primitivity import (SUBSET_CAP, _channel_index_bound, channel_primitivity_index,
                           strictly_positive_at, sweep_positive_iterate)
 
+# bound on the max-entry gap between two routes to the same quantity
 ROUTE_TOL = 1e-10
 WITNESS_TOL = 1e-8
 CONVERGENCE_TOL = 1e-6
@@ -34,9 +35,6 @@ class CheckResult:
     name: str
     ok: bool
     detail: str
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def _result(name: str, ok, detail: str) -> CheckResult:

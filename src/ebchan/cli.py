@@ -27,9 +27,8 @@ from .channel import (FixedPoint, HolevoForm, SpectrumComparison, apply_linear,
                       compare_nonzero_spectrum, depolarizing, fixed_point,
                       holevo_from_rank_one_kraus, map_to_diagonal,
                       qc_from_stochastic, stochastic_rep)
-from .checks import run_channel_checks
-from .errors import (ConsistencyError, ConvergenceFailure, DocumentSyntaxError,
-                     EbchanError, StationarySolveFailure)
+from .checks import ROUTE_TOL, run_channel_checks
+from .errors import ConsistencyError, EbchanError, ValidationError
 from .linalg import DEFAULT_TOL, Tolerances
 from .primitivity import (ChannelPrimitivityReport, HolevoRankBounds,
                           channel_primitivity_index, holevo_rank_bounds)
@@ -38,14 +37,7 @@ from .serialization import (_loads, document_to_form, emit_channel_document,
                             parse_channel_document, parse_kraus_file,
                             parse_state_file, parse_stochastic_file)
 
-VECTOR_TRACK_TOL = 1e-10
-RESIDUAL_TOL = 1e-10
-
 BUILD_KINDS = ("depolarizing", "diag", "qc", "from-kraus")
-
-# library errors that mean a computation or cross-check failed (exit 1);
-# every other library error is a fault of the input (exit 2)
-INTERNAL_FAILURES = (ConsistencyError, StationarySolveFailure, ConvergenceFailure)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -87,9 +79,9 @@ def report_inconsistencies(report: AnalysisReport) -> list:
     problems = []
     if not report.spectrum_comparison.matched:
         problems.append("nonzero spectra of the channel and its matrix disagree")
-    if report.fixed_point.residual > RESIDUAL_TOL:
+    if report.fixed_point.residual > ROUTE_TOL:
         problems.append(f"fixed point residual {report.fixed_point.residual:.3e} "
-                        f"exceeds {RESIDUAL_TOL:.0e}")
+                        f"exceeds {ROUTE_TOL:.0e}")
     prim = report.primitivity
     if prim.bound_abs_diff_ok is False:
         problems.append("index gap |q - p| exceeds 1")
@@ -199,8 +191,8 @@ def _read_text(path: str) -> str:
         try:
             return fh.read()
         except UnicodeDecodeError as exc:
-            raise DocumentSyntaxError(f"{path} is not UTF-8 text at byte {exc.start}: "
-                                      f"{exc.reason}", offset=exc.start) from exc
+            raise ValidationError(f"{path} is not UTF-8 text at byte {exc.start}: "
+                                  f"{exc.reason}") from exc
 
 
 def _write_output(text: str, path) -> None:
@@ -293,7 +285,7 @@ def cmd_iterate(args) -> int:
             c = s @ c
     print(f"fixed point residual: {fp.residual:.3e}; "
           f"worst vector-track residual: {worst_track:.3e}")
-    if worst_track > VECTOR_TRACK_TOL:
+    if worst_track > ROUTE_TOL:
         print("error: state trajectory and stochastic trajectory disagree",
               file=sys.stderr)
         return 1
@@ -404,7 +396,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except INTERNAL_FAILURES as exc:
+    except ConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (EbchanError, OSError) as exc:

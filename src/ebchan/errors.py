@@ -1,18 +1,18 @@
-"""Exception types raised by the library.
+"""Exception types raised by the library, one per exit code of the CLI.
 
-Everything derives from EbchanError so callers can catch the whole family;
-validation failures additionally derive from ValueError since they signal
-bad input values.
+Every library error is an EbchanError, and is one of two kinds:
+
+* ValidationError (also a ValueError): the input is at fault, such as a
+  malformed document, a non-PSD effect or an r above the enumeration cap;
+  the CLI exits 2;
+* ConsistencyError: a cross-check that holds by theory failed numerically,
+  or a numerical solve failed; the CLI exits 1.
+
+The message names the offending pair or entry where there is one, e.g.
+"F[0] is not PSD" or "pairs[1].R: row 0 is not a nonempty list".
 """
 
-__all__ = [
-    "ColumnSumViolation", "ConsistencyError", "ConvergenceFailure",
-    "DimensionMismatch", "DocumentSyntaxError", "EbchanError",
-    "KrausRankTooHigh", "NegativeEntry", "NotDensity", "NotHermitian",
-    "NotPOVM", "NotPSD", "NotStochastic", "StationarySolveFailure",
-    "SubsetCapExceeded", "TracePreservationViolation", "ValidationError",
-    "ZeroEffect",
-]
+__all__ = ["ConsistencyError", "EbchanError", "ValidationError"]
 
 
 class EbchanError(Exception):
@@ -20,83 +20,8 @@ class EbchanError(Exception):
 
 
 class ValidationError(EbchanError, ValueError):
-    """Input failed a structural or numerical validity check.
-
-    ``pair_index`` identifies the offending (F, R) pair when the failure
-    is local to one pair of a Holevo form; otherwise it is None.
-    """
-
-    def __init__(self, message, pair_index=None):
-        super().__init__(message)
-        self.pair_index = pair_index
-
-
-class DimensionMismatch(ValidationError):
-    """Operands have incompatible shapes."""
-
-
-class NotHermitian(ValidationError):
-    """Matrix is not Hermitian within tolerance."""
-
-
-class NotPSD(ValidationError):
-    """Matrix is not positive semidefinite within tolerance."""
-
-
-class ZeroEffect(ValidationError):
-    """A POVM effect is numerically zero."""
-
-
-class NotPOVM(ValidationError):
-    """Effects do not sum to the identity within tolerance."""
-
-
-class NotDensity(ValidationError):
-    """Matrix fails the density-matrix requirements (PSD with unit trace)."""
-
-
-class NegativeEntry(ValidationError):
-    """A matrix entry is negative beyond the clamping tolerance."""
-
-
-class ColumnSumViolation(ValidationError):
-    """A column of a stochastic matrix does not sum to one within tolerance."""
-
-
-class NotStochastic(ValidationError):
-    """Matrix is not a valid column-stochastic matrix."""
-
-
-class KrausRankTooHigh(ValidationError):
-    """A Kraus operator does not have numerical rank one."""
-
-
-class TracePreservationViolation(ValidationError):
-    """Kraus operators do not satisfy the trace-preservation identity."""
-
-
-class ConvergenceFailure(EbchanError):
-    """An iterative eigensolver failed to converge."""
-
-
-class StationarySolveFailure(EbchanError):
-    """No valid stationary distribution could be extracted."""
-
-
-class SubsetCapExceeded(EbchanError):
-    """Exact positivity analysis was requested above the subset budget."""
+    """Input failed a structural or numerical validity check."""
 
 
 class ConsistencyError(EbchanError):
-    """An internal cross-check that should hold by theory failed numerically."""
-
-
-class DocumentSyntaxError(EbchanError, ValueError):
-    """Channel document text is not syntactically valid.
-
-    ``offset`` is the byte/character position reported by the JSON parser.
-    """
-
-    def __init__(self, message, offset=None):
-        super().__init__(message)
-        self.offset = offset
+    """An internal cross-check or a numerical solve failed."""

@@ -12,8 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 __all__ = [
-    "DEFAULT_TOL", "Tolerances", "eig_general", "eig_hermitian", "is_pd",
-    "kernel_psd", "vec",
+    "DEFAULT_TOL", "Tolerances", "eig_general", "eig_hermitian", "kernel_psd", "vec",
 ]
 
 import math
@@ -21,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConvergenceFailure, DimensionMismatch, NotHermitian, NotPSD,
-                     ValidationError)
+from .errors import ConsistencyError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -64,13 +62,13 @@ def as_square(m, name="matrix"):
     """Coerce to a finite, nonempty, square complex array (copy, read-only)."""
     arr = np.array(m, dtype=np.complex128, order="C")
     if arr.ndim != 2:
-        raise DimensionMismatch(f"{name} must be 2-D, got ndim={arr.ndim}")
+        raise ValidationError(f"{name} must be 2-D, got ndim={arr.ndim}")
     if arr.shape[0] == 0 or arr.shape[1] == 0:
-        raise DimensionMismatch(f"{name} must be nonempty, got shape {arr.shape}")
+        raise ValidationError(f"{name} must be nonempty, got shape {arr.shape}")
     if not np.all(np.isfinite(arr.view(np.float64))):
         raise ValidationError(f"{name} contains NaN or infinite entries")
     if arr.shape[0] != arr.shape[1]:
-        raise DimensionMismatch(f"{name} must be square, got shape {arr.shape}")
+        raise ValidationError(f"{name} must be square, got shape {arr.shape}")
     arr.setflags(write=False)
     return arr
 
@@ -80,22 +78,16 @@ def eig_hermitian(h, tol: Tolerances = DEFAULT_TOL):
 
     Returns (eigenvalues, eigenvectors) with real eigenvalues sorted in
     descending order and matching orthonormal eigenvector columns, so that
-    ``h == V @ diag(w) @ V.conj().T`` up to round-off. Raises NotHermitian
+    ``h == V @ diag(w) @ V.conj().T`` up to round-off. Raises ValidationError
     when max |H - H*| exceeds ``psd_tol * (1 + max |H|)``.
     """
     arr = as_square(h)
     defect = float(np.max(np.abs(arr - arr.conj().T)))
     if defect > tol.psd_tol * (1.0 + float(np.max(np.abs(arr)))):
-        raise NotHermitian(f"matrix is not Hermitian: max |H - H*| = {defect:.3e}")
+        raise ValidationError(f"matrix is not Hermitian: max |H - H*| = {defect:.3e}")
     w, v = np.linalg.eigh((arr + arr.conj().T) / 2.0)
     order = np.argsort(w)[::-1]
     return w[order].real, v[:, order]
-
-
-def is_pd(h, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True iff the Hermitian matrix has lambda_min > psd_tol * max(1, lambda_max)."""
-    w, _ = eig_hermitian(h, tol)
-    return bool(w[-1] > tol.psd_tol * max(1.0, w[0]))
 
 
 def _rank_cut(highest, tol: Tolerances) -> float:
@@ -104,10 +96,10 @@ def _rank_cut(highest, tol: Tolerances) -> float:
 
 
 def _zero_cut(lowest, highest, tol: Tolerances, caller: str) -> float:
-    """Eigenvalue below which a PSD matrix counts as singular; NotPSD if it is not PSD."""
+    """Eigenvalue below which a PSD matrix counts as singular; ValidationError if not PSD."""
     scale = max(1.0, float(highest))
     if lowest < -tol.psd_tol * scale:
-        raise NotPSD(f"{caller} requires a PSD input, lambda_min = {lowest:.3e}")
+        raise ValidationError(f"{caller} requires a PSD input, lambda_min = {lowest:.3e}")
     return tol.zero_eig_tol * scale
 
 
@@ -125,13 +117,13 @@ def eig_general(m):
     """Complex eigenvalues of a square matrix, with algebraic multiplicity.
 
     Backed by the LAPACK Schur/QR solver, which caps its iteration count
-    internally; non-convergence surfaces as ConvergenceFailure.
+    internally; non-convergence surfaces as ConsistencyError.
     """
     arr = as_square(m)
     try:
         return np.linalg.eigvals(arr)
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigenvalue iteration did not converge: {exc}") from exc
+        raise ConsistencyError(f"eigenvalue iteration did not converge: {exc}") from exc
 
 
 def vec(m):

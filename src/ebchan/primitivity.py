@@ -11,15 +11,15 @@ Each side of that test is an (r, n, n) stack of validated PSD matrices,
 the states or the iterated effects. One routine, ``_alive_table``, decides
 which subset sums have a kernel, by one ``eigvalsh`` each (the sums are
 exactly Hermitian, see ``HolevoForm``): a kernel iff lambda_min <
-zero_eig_tol * max(1, lambda_max), and NotPSD for lambda_min below
+zero_eig_tol * max(1, lambda_max), and ValidationError for lambda_min below
 -psd_tol * max(1, lambda_max). It walks the masks depth-first and builds
 each sum from its parent's with one addition, so its members are added
 from the highest index down, and a sum of three or more can differ in its
 last bits from ``stack[members].sum(axis=0)``. It fills every mask or only
 those asked for, and its callers are of two kinds.
 ``channel_primitivity_index`` fills the full state table once per search,
-so ``analyze`` and ``run_channel_checks`` raise NotPSD wherever a state
-mask would. ``strictly_positive_at``, and through it
+so ``analyze`` and ``run_channel_checks`` raise ValidationError wherever a
+state mask would. ``strictly_positive_at``, and through it
 ``sweep_positive_iterate``, asks for the state masks of its candidate
 splits only, afresh per call, and stays the independent route the search
 is checked against.
@@ -39,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import HolevoForm, iterated_form, stochastic_rep
-from .errors import ConsistencyError, SubsetCapExceeded
-from .linalg import DEFAULT_TOL, Tolerances, _rank_cut, _zero_cut, is_pd, kernel_psd
+from .errors import ConsistencyError, ValidationError
+from .linalg import DEFAULT_TOL, Tolerances, _rank_cut, _zero_cut, eig_hermitian, kernel_psd
 from .stochastic import primitivity_index, wielandt_bound
 
 SUBSET_CAP = 20
@@ -55,9 +55,13 @@ def sum_R_positive_definite(form: HolevoForm, tol: Tolerances = DEFAULT_TOL) -> 
     """Whether the sum of the channel's output states is positive definite.
 
     When it is not, its kernel is shared by every R_k and no output of the
-    channel can ever be invertible, ruling out primitivity.
+    channel can ever be invertible, ruling out primitivity. The sum is
+    definite iff lambda_min >= zero_eig_tol * max(1, lambda_max), the
+    zero cut by which ``_alive_table`` decides that the same sum (its full
+    mask) has no kernel.
     """
-    return is_pd(form.states.sum(axis=0), tol)
+    w, _ = eig_hermitian(form.states.sum(axis=0), tol)  # descending
+    return bool(w[-1] >= _rank_cut(w[0], tol))
 
 
 @dataclass(frozen=True)
@@ -79,9 +83,6 @@ class StrictPositivityResult:
     direction: np.ndarray | None = None
     value: float | None = None
 
-    def __bool__(self) -> bool:
-        return self.holds
-
 
 def _alive_table(stack, tol, masks=None):
     """alive[mask] = True iff the sum of ``stack[k]`` over the bits k of ``mask`` has a kernel.
@@ -98,8 +99,8 @@ def _alive_table(stack, tol, masks=None):
     differ in its last bits from ``stack[members].sum(axis=0)``, and it is
     exactly Hermitian all the same. With ``masks`` given, only those masks
     and their lowest-bit parent chains are walked, so the asked entries are
-    the full table's, every other entry reads False, and NotPSD is raised
-    only for the masks solved.
+    the full table's, every other entry reads False, and ValidationError is
+    raised for a non-PSD sum only among the masks solved.
     """
     r = len(stack)
     alive = np.zeros(1 << r, dtype=bool)
@@ -147,12 +148,11 @@ def strictly_positive_at(form: HolevoForm, m: int,
     and a complement with psi in ker(sum of the other iterated effects).
     The test covers all 2^r splits (it is exact). The verdict is the first
     triggering split in increasing-bitmask order. The state side is solved
-    only at the candidate splits, so NotPSD is raised for a state mask only
-    if it is solved. Raises SubsetCapExceeded when r exceeds ``SUBSET_CAP``.
+    only at the candidate splits, so a non-PSD state mask raises only if it
+    is solved. Raises ValidationError when r exceeds ``SUBSET_CAP``.
     """
     if form.r > SUBSET_CAP:
-        raise SubsetCapExceeded(
-            f"r = {form.r} exceeds the exact-enumeration cap {SUBSET_CAP}")
+        raise ValidationError(f"r = {form.r} exceeds the exact-enumeration cap {SUBSET_CAP}")
     return _positive_at(form, m, tol)
 
 

@@ -37,7 +37,7 @@ from itertools import chain
 import numpy as np
 
 from .channel import HolevoForm, make_holevo_form, require_density
-from .errors import DocumentSyntaxError, ValidationError
+from .errors import ValidationError
 from .linalg import DEFAULT_TOL, Tolerances
 
 FORMAT_VERSION = "1"
@@ -154,8 +154,7 @@ def _loads(text: str, what: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise DocumentSyntaxError(f"{what} is not valid JSON at offset {exc.pos}: {exc.msg}",
-                                  offset=exc.pos) from exc
+        raise ValidationError(f"{what} is not valid JSON at offset {exc.pos}: {exc.msg}") from exc
 
 
 def form_to_document(form: HolevoForm, metadata=None) -> dict:
@@ -202,15 +201,13 @@ def document_to_form(doc, tol: Tolerances = DEFAULT_TOL) -> HolevoForm:
     pairs = []
     for k, item in enumerate(pairs_field):
         if not isinstance(item, dict) or "F" not in item or "R" not in item:
-            raise ValidationError(f"pairs[{k}] must be an object with 'F' and 'R'",
-                                  pair_index=k)
+            raise ValidationError(f"pairs[{k}] must be an object with 'F' and 'R'")
         f = literal_to_matrix(item["F"], f"pairs[{k}].F")
         r = literal_to_matrix(item["R"], f"pairs[{k}].R")
         for name, mat in (("F", f), ("R", r)):
             if mat.shape != (n, n):
                 raise ValidationError(
-                    f"pairs[{k}].{name} has shape {mat.shape}, expected ({n}, {n})",
-                    pair_index=k)
+                    f"pairs[{k}].{name} has shape {mat.shape}, expected ({n}, {n})")
         pairs.append((f, r))
     return make_holevo_form(n, pairs, tol)
 
@@ -218,9 +215,8 @@ def document_to_form(doc, tol: Tolerances = DEFAULT_TOL) -> HolevoForm:
 def parse_channel_document(text: str, tol: Tolerances = DEFAULT_TOL) -> HolevoForm:
     """Parse and fully validate a channel document.
 
-    Syntax problems raise DocumentSyntaxError carrying the parser offset;
-    semantic problems raise the matching validation error, with the
-    offending pair index attached when one exists.
+    Every problem raises ValidationError: a syntax error names the
+    parser's offset, and a semantic one the offending pair or entry.
     """
     return document_to_form(_loads(text, "channel document"), tol)
 
@@ -268,7 +264,6 @@ def parse_kraus_file(text: str):
     for k, lit in enumerate(ops_field):
         op = literal_to_matrix(lit, f"operators[{k}]")
         if op.shape != (n, n):
-            raise ValidationError(f"operators[{k}] has shape {op.shape}, expected ({n}, {n})",
-                                  pair_index=k)
+            raise ValidationError(f"operators[{k}] has shape {op.shape}, expected ({n}, {n})")
         ops.append(op)
     return ops

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ColumnSumViolation, DimensionMismatch, NegativeEntry,
-                     StationarySolveFailure, ValidationError)
+from .errors import ConsistencyError, ValidationError
 from .linalg import DEFAULT_TOL, Tolerances, _rank_cut
 
 
@@ -43,24 +42,24 @@ def make_stochastic(entries, tol: Tolerances = DEFAULT_TOL):
     """Validate a column-stochastic matrix and return it as a clean float array.
 
     ``entries`` is a square array. Entries in ``[-stochastic_tol, 0)`` are
-    clamped to 0; more negative entries raise NegativeEntry. Every column
+    clamped to 0; more negative entries raise ValidationError. Every column
     must sum to 1 within ``stochastic_tol``.
     """
     arr = np.array(entries, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-        raise DimensionMismatch(f"expected a nonempty square matrix, got shape {arr.shape}")
+        raise ValidationError(f"expected a nonempty square matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValidationError("matrix contains NaN or infinite entries")
     low = float(arr.min())
     if low < -tol.stochastic_tol:
         i, j = np.unravel_index(int(np.argmin(arr)), arr.shape)
-        raise NegativeEntry(f"entry ({i},{j}) = {low:.3e} is negative beyond tolerance")
+        raise ValidationError(f"entry ({i},{j}) = {low:.3e} is negative beyond tolerance")
     arr = np.where(arr < 0.0, 0.0, arr)
     sums = arr.sum(axis=0)
     worst = float(np.max(np.abs(sums - 1.0)))
     if worst > tol.stochastic_tol:
         j = int(np.argmax(np.abs(sums - 1.0)))
-        raise ColumnSumViolation(f"column {j} sums to {sums[j]!r}, off by {worst:.3e}")
+        raise ValidationError(f"column {j} sums to {sums[j]!r}, off by {worst:.3e}")
     arr.setflags(write=False)
     return arr
 
@@ -93,17 +92,15 @@ def _solve_stationary(arr, tol: Tolerances):
     pi, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
 
     if float(pi.min()) < -tol.zero_eig_tol:
-        raise StationarySolveFailure(
-            f"stationary solve produced entry {pi.min():.3e} below tolerance"
-        )
+        raise ConsistencyError(f"stationary solve produced entry {pi.min():.3e} below tolerance")
     pi = np.where(pi < 0.0, 0.0, pi)
     total = float(pi.sum())
     if total <= 0.0:
-        raise StationarySolveFailure("stationary solve produced a zero vector")
+        raise ConsistencyError("stationary solve produced a zero vector")
     pi = pi / total
     residual = float(np.max(np.abs(arr @ pi - pi)))
     if residual > 1e-10:
-        raise StationarySolveFailure(f"stationary residual {residual:.3e} exceeds 1e-10")
+        raise ConsistencyError(f"stationary residual {residual:.3e} exceeds 1e-10")
 
     sigma = np.linalg.svd(arr - np.eye(r), compute_uv=False)
     null_dim = int(np.count_nonzero(sigma < _rank_cut(sigma[0], tol)))

@@ -9,9 +9,7 @@ from ebchan.channel import (_pair_distance, apply_linear, choi, choi_pair_sum,
                             holevo_from_rank_one_kraus, iterated_form,
                             make_holevo_form, map_to_diagonal, natural_rep,
                             qc_from_stochastic, stochastic_rep)
-from ebchan.errors import (DimensionMismatch, KrausRankTooHigh, NotDensity,
-                           NotPOVM, NotPSD, NotStochastic, TracePreservationViolation,
-                           ValidationError, ZeroEffect)
+from ebchan.errors import ValidationError
 from ebchan.linalg import DEFAULT_TOL, Tolerances, vec
 from ebchan.sampling import random_density, random_holevo_form
 
@@ -40,26 +38,24 @@ def test_make_holevo_form_examples():
 
 
 def test_make_holevo_form_rejects_zero_effect():
-    with pytest.raises(ZeroEffect) as err:
+    with pytest.raises(ValidationError, match=r"^F\[0\] is numerically zero$"):
         make_holevo_form(2, [(np.zeros((2, 2)), E00), (IDENT, E11)])
-    assert err.value.pair_index == 0
 
 
 def test_make_holevo_form_rejects_broken_povm():
-    with pytest.raises(NotPOVM):
+    with pytest.raises(ValidationError, match="effects sum to I only within"):
         make_holevo_form(2, [(0.9 * IDENT, E00)])
 
 
 def test_make_holevo_form_rejects_bad_density():
-    with pytest.raises(NotDensity) as err:
+    with pytest.raises(ValidationError, match=r"^R\[1\] has trace .*, expected 1$"):
         make_holevo_form(2, [(0.5 * IDENT, E00), (0.5 * IDENT, 0.9 * E11)])
-    assert err.value.pair_index == 1
-    with pytest.raises(NotDensity):
+    with pytest.raises(ValidationError, match=r"^R\[0\] is not PSD: lambda_min = "):
         make_holevo_form(2, [(IDENT, np.array([[1.5, 0], [0, -0.5]]))])
 
 
 def test_make_holevo_form_rejects_shape_mismatch():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValidationError, match=r"^F\[0\] must be 2x2, got 3x3$"):
         make_holevo_form(2, [(np.eye(3), np.eye(3) / 3)])
 
 
@@ -115,12 +111,10 @@ def test_forms_hold_exactly_hermitian_stacks():
 
 def test_hermitian_defect_beyond_psd_tol_still_raises():
     noise = upper_noise(np.random.default_rng(73), 2, 1e-6)
-    with pytest.raises(NotPSD, match="not Hermitian") as err:
+    with pytest.raises(ValidationError, match=r"^F\[0\] is not Hermitian: "):
         make_holevo_form(2, [(PLUS + noise, E00), (MINUS, E11)])
-    assert err.value.pair_index == 0
-    with pytest.raises(NotDensity, match="not Hermitian") as err:
+    with pytest.raises(ValidationError, match=r"^R\[1\] is not Hermitian: "):
         make_holevo_form(2, [(PLUS, E00), (MINUS, PLUS + noise)])
-    assert err.value.pair_index == 1
 
 
 def test_forms_compare_and_hash_by_identity():
@@ -154,7 +148,7 @@ def test_apply_map_to_diagonal():
 
 
 def test_apply_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValidationError, match="operand must be 2x2"):
         apply_linear(example_one(), np.eye(3) / 3)
 
 
@@ -208,7 +202,7 @@ def test_apply_stack_rejects_non_finite_entries(bad):
 @pytest.mark.parametrize("shape", [(4, 3, 2), (4, 2, 3), (2, 2, 2), (3,), (9,), ()])
 def test_apply_stack_rejects_wrong_shapes(shape):
     form = random_holevo_form(np.random.default_rng(35), 3, 2)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValidationError, match="operand must be 3x3"):
         apply_linear(form, np.ones(shape))
 
 
@@ -462,7 +456,7 @@ def test_qc_round_trip_example():
 
 
 def test_qc_rejects_bad_matrix():
-    with pytest.raises(NotStochastic):
+    with pytest.raises(ValidationError, match="^not a column-stochastic matrix: column 0 "):
         qc_from_stochastic(np.array([[1.0, 0.0], [0.1, 1.0]]))
 
 
@@ -504,12 +498,12 @@ def test_kraus_action_matches_conjugation():
 
 
 def test_kraus_rejects_rank_two():
-    with pytest.raises(KrausRankTooHigh):
+    with pytest.raises(ValidationError, match=r"^V\[0\] has numerical rank 2, expected 1$"):
         holevo_from_rank_one_kraus([np.eye(2) / np.sqrt(2),
                                     np.array([[0, 1j], [1, 0]]) / np.sqrt(2)])
 
 
 def test_kraus_rejects_non_trace_preserving():
     ops = [np.array([[0.9, 0], [0, 0]]), np.array([[0, 0], [0, 1.0]])]
-    with pytest.raises(TracePreservationViolation):
+    with pytest.raises(ValidationError, match=r"^sum_k V_k\* V_k differs from I by "):
         holevo_from_rank_one_kraus(ops)

@@ -4,7 +4,7 @@ import pytest
 from ebchan import channel, checks, primitivity, stochastic
 from ebchan.channel import (depolarizing, fixed_point, make_holevo_form, map_to_diagonal,
                             stochastic_rep)
-from ebchan.checks import CheckResult, run_channel_checks
+from ebchan.checks import run_channel_checks
 from ebchan.linalg import DEFAULT_TOL, Tolerances
 from ebchan.sampling import random_channel
 
@@ -16,11 +16,6 @@ MINUS = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
 
 def names(results) -> set:
     return {res.name for res in results}
-
-
-def test_check_result_truthiness():
-    assert CheckResult("x", True, "")
-    assert not CheckResult("x", False, "")
 
 
 def test_full_suite_on_flip_example():

@@ -193,7 +193,7 @@ def test_analyze_invalid_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"format_version": "1",')
     assert main(["analyze", str(path)]) == 2
-    assert "offset" in capsys.readouterr().err
+    assert "not valid JSON at offset" in capsys.readouterr().err
 
 
 def test_analyze_rejects_invalid_channel(tmp_path, capsys):
@@ -437,6 +437,44 @@ def test_internal_consistency_failure_exits_one(example_one_file, capsys, monkey
     monkeypatch.setattr("ebchan.cli.channel_primitivity_index", fail)
     assert main(["analyze", example_one_file]) == 1
     assert "error: positivity holds" in capsys.readouterr().err
+
+
+def test_unconverged_eigenvalue_iteration_exits_one(example_one_file, capsys, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
+    assert main(["analyze", example_one_file]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: eigenvalue iteration did not converge: "
+                            "Eigenvalues did not converge\n")
+
+
+def test_failed_stationary_solve_exits_one(example_one_file, capsys, monkeypatch):
+    def negative_solution(lhs, rhs, rcond=None):
+        return np.array([-0.5, 1.5]), None, None, None
+
+    monkeypatch.setattr(np.linalg, "lstsq", negative_solution)
+    assert main(["analyze", example_one_file]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: stationary solve produced entry -5.000e-01 below tolerance\n"
+
+
+def test_near_singular_state_sum_ends_in_a_verdict(tmp_path, capsys):
+    # sum R = diag(2 - 6e-9, 6e-9): PD under psd_tol, singular under the zero
+    # cut of the subset tables, which the sum-of-states verdict now shares
+    form = make_holevo_form(2, [(IDENT / 2, E00), (IDENT / 2, np.diag([1 - 6e-9, 6e-9]))])
+    path = tmp_path / "near-singular.json"
+    path.write_text(emit_channel_document(form))
+    assert main(["analyze", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "  sum of states positive definite: no\n" in captured.out
+    assert "  channel primitive: no (q = none)\n" in captured.out
+    assert main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out == (f"{path} (n = 2, r = 2): ok\nall invariants pass\n")
 
 
 def test_analyze_rejects_nan_entry(tmp_path, capsys):

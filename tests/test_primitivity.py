@@ -4,7 +4,7 @@ import pytest
 from ebchan.channel import (apply_linear, depolarizing, iterated_form, make_holevo_form,
                             map_to_diagonal, qc_from_stochastic, stochastic_rep)
 from ebchan import primitivity
-from ebchan.errors import NotPSD, SubsetCapExceeded
+from ebchan.errors import ValidationError
 from ebchan.linalg import DEFAULT_TOL, kernel_psd
 from ebchan.primitivity import (SUBSET_CAP, channel_primitivity_index,
                                 holevo_rank_bounds, strictly_positive_at,
@@ -36,13 +36,13 @@ def singular_sum_form():
 def test_sum_R_positive_definite():
     assert sum_R_positive_definite(example_one())
     assert sum_R_positive_definite(map_to_diagonal(3))
+    assert sum_R_positive_definite(depolarizing(3))
     assert not sum_R_positive_definite(singular_sum_form())
 
 
 def test_strictly_positive_at_example_one():
     first = strictly_positive_at(example_one(), 1)
     assert not first.holds
-    assert not bool(first)
     second = strictly_positive_at(example_one(), 2)
     assert second.holds
     assert second.state is None and second.subset is None
@@ -103,7 +103,8 @@ def above_cap_form():
 
 
 def test_subset_cap_exceeded():
-    with pytest.raises(SubsetCapExceeded):
+    with pytest.raises(ValidationError, match=f"^r = {SUBSET_CAP + 1} exceeds the "
+                                              f"exact-enumeration cap {SUBSET_CAP}$"):
         strictly_positive_at(above_cap_form(), 1)
 
 
@@ -251,12 +252,12 @@ def _symmetrized_kernel_dim(h, tol=DEFAULT_TOL):
     """Kernel dimension by the symmetrize-and-count route.
 
     Takes all eigenvalues of (h + h*)/2 and counts those under the zero cut;
-    a sum that is not PSD raises NotPSD. It trusts no Hermitian invariant.
+    a sum that is not PSD raises ValidationError. It trusts no Hermitian invariant.
     """
     w = np.linalg.eigvalsh((h + h.conj().T) / 2.0)  # ascending
     scale = max(1.0, float(w[-1]))
     if w[0] < -tol.psd_tol * scale:
-        raise NotPSD(f"subset sum is not PSD, lambda_min = {w[0]:.3e}")
+        raise ValidationError(f"subset sum is not PSD, lambda_min = {w[0]:.3e}")
     return int(np.count_nonzero(w < tol.zero_eig_tol * scale))
 
 

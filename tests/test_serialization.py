@@ -1,12 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from ebchan import serialization
 from ebchan.channel import depolarizing, make_holevo_form
-from ebchan.errors import (DocumentSyntaxError, NotDensity, ValidationError,
-                           ZeroEffect)
+from ebchan.errors import ValidationError
 from ebchan.sampling import random_channel
 from ebchan.serialization import (FORMAT_VERSION, emit_channel_document,
                                   form_to_document, literal_to_matrix,
@@ -114,10 +114,10 @@ def test_literal_rejects_malformed_entries():
 
 def test_truncated_json_reports_offset():
     text = example_one_document()[:40]
-    with pytest.raises(DocumentSyntaxError) as info:
+    with pytest.raises(ValidationError) as info:
         parse_channel_document(text)
-    assert isinstance(info.value.offset, int)
-    assert 0 <= info.value.offset <= len(text)
+    found = re.match(r"channel document is not valid JSON at offset (\d+): ", str(info.value))
+    assert found and 0 <= int(found.group(1)) <= len(text)
 
 
 def test_document_validation_failures():
@@ -146,24 +146,21 @@ def test_document_validation_failures():
 def test_wrong_shape_reports_pair_index():
     doc = json.loads(example_one_document())
     doc["pairs"][1]["R"] = matrix_to_literal(np.eye(3))
-    with pytest.raises(ValidationError) as info:
+    with pytest.raises(ValidationError,
+                       match=r"^pairs\[1\]\.R has shape \(3, 3\), expected \(2, 2\)$"):
         parse_channel_document(json.dumps(doc))
-    assert info.value.pair_index == 1
-    assert "pairs[1].R" in str(info.value)
 
     doc = json.loads(example_one_document())
     del doc["pairs"][0]["F"]
-    with pytest.raises(ValidationError) as info:
+    with pytest.raises(ValidationError, match=r"^pairs\[0\] must be an object with 'F' and 'R'$"):
         parse_channel_document(json.dumps(doc))
-    assert info.value.pair_index == 0
 
 
 def test_zero_effect_caught_on_parse():
     doc = json.loads(example_one_document())
     doc["pairs"][0]["F"] = matrix_to_literal(np.zeros((2, 2)))
-    with pytest.raises(ZeroEffect) as info:
+    with pytest.raises(ValidationError, match=r"^F\[0\] is numerically zero$"):
         parse_channel_document(json.dumps(doc))
-    assert info.value.pair_index == 0
 
 
 def test_form_to_document_omits_empty_metadata():
@@ -192,7 +189,8 @@ def test_stochastic_file_rejects_bad_documents():
             parse_stochastic_file(f'{{"r": 2, "entries": [[1, 0.5], [{leaf}, 0.5]]}}')
     with pytest.raises(ValidationError, match=r"entry \(0,1\) is outside the float range"):
         parse_stochastic_file(f'{{"r": 2, "entries": [[1, {10 ** 400}], [0, 0.5]]}}')
-    with pytest.raises(DocumentSyntaxError):
+    with pytest.raises(ValidationError, match="^stochastic matrix file is not valid JSON at "
+                                              "offset 1: "):
         parse_stochastic_file("{")
 
 
@@ -201,7 +199,7 @@ def test_state_file_round_trip_and_validation():
     back = parse_state_file(json.dumps({"n": 2, "rho": matrix_to_literal(rho)}))
     assert np.array_equal(back, rho)
 
-    with pytest.raises(NotDensity):
+    with pytest.raises(ValidationError, match=r"^rho has trace \(2\+0j\), expected 1$"):
         parse_state_file(json.dumps({"n": 2, "rho": matrix_to_literal(np.eye(2))}))
     with pytest.raises(ValidationError, match="positive integer"):
         parse_state_file('{"n": -1, "rho": [[[1.0, 0.0]]]}')
