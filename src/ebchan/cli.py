@@ -292,11 +292,12 @@ def cmd_iterate(args) -> int:
     return 0
 
 
-def _verify_one(label: str, form: HolevoForm, tol: Tolerances, rng, failures: list) -> None:
-    """Check one channel; an error it raises is that channel's failure only."""
+def _verify_one(label: str, form: HolevoForm, tol: Tolerances, rng, failures: list,
+                caught=EbchanError) -> None:
+    """Check one channel; an error of class ``caught`` it raises is that channel's failure only."""
     try:
         results = run_channel_checks(form, tol, rng)
-    except EbchanError as exc:
+    except caught as exc:
         print(f"{label} (n = {form.n}, r = {form.r}): FAILED exception ({exc})")
         failures.append({"channel": label, "check": "exception",
                          "detail": f"{type(exc).__name__}: {exc}"})
@@ -316,7 +317,8 @@ def cmd_verify(args) -> int:
     failures = []
     if args.file is not None:
         form = parse_channel_document(_read_text(args.file), tol)
-        _verify_one(args.file, form, tol, rng, failures)
+        # bad input exits 2, as under analyze, wherever the checks find it
+        _verify_one(args.file, form, tol, rng, failures, caught=ConsistencyError)
     else:
         count = args.random
         if count is None or count < 1:

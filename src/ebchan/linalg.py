@@ -35,6 +35,10 @@ class Tolerances:
 
     psd_tol and zero_eig_tol scale with max(1, lambda_max) and must be below
     1: at 1 or more no matrix is PD and any with lambda_max < 1 is singular.
+    match_tol must be below 1 too: every eigenvalue of a channel and of its
+    stochastic matrix lies in the closed unit disk, so a match distance of
+    1 or more, the disk's radius, tells almost no two spectra of the same
+    size apart.
     """
 
     psd_tol: float = 1e-9
@@ -50,6 +54,9 @@ class Tolerances:
             if value >= 1 and name in ("psd_tol", "zero_eig_tol"):
                 raise ValidationError(f"{name} must be below 1, got {value}: "
                                       "it is relative to max(1, lambda_max)")
+            if value >= 1 and name == "match_tol":
+                raise ValidationError(f"match_tol must be below 1, got {value}: "
+                                      "the spectra it matches lie in the closed unit disk")
         if self.zero_eig_tol == 0:
             raise ValidationError(f"zero_eig_tol must be positive, got {self.zero_eig_tol}: "
                                   "a zero cut counts round-off as rank")

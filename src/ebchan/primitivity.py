@@ -9,14 +9,17 @@ operators the kernel of a sum is the intersection of the kernels.
 
 Each side of that test is an (r, n, n) stack of validated PSD matrices,
 the states or the iterated effects. One routine, ``_alive_table``, decides
-which subset sums have a kernel, by one ``eigvalsh`` each (the sums are
+which subset sums have a kernel from their eigenvalues (the sums are
 exactly Hermitian, see ``HolevoForm``): a kernel iff lambda_min <
 zero_eig_tol * max(1, lambda_max), and ValidationError for lambda_min below
 -psd_tol * max(1, lambda_max). It walks the masks depth-first and builds
 each sum from its parent's with one addition, so its members are added
 from the highest index down, and a sum of three or more can differ in its
-last bits from ``stack[members].sum(axis=0)``. It fills every mask or only
-those asked for, and its callers are of two kinds.
+last bits from ``stack[members].sum(axis=0)``. The children of one parent
+are solved together, by one batched ``eigvalsh``, and then cut and walked
+one by one, so the sums, the masks solved and the mask at which a non-PSD
+sum raises are those of a walk that solves one mask at a time. It fills
+every mask or only those asked for, and its callers are of two kinds.
 ``channel_primitivity_index`` fills the full state table once per search,
 so ``analyze`` and ``run_channel_checks`` raise ValidationError wherever a
 state mask would. ``strictly_positive_at``, and through it
@@ -92,15 +95,20 @@ def _alive_table(stack, tol, masks=None):
     closed: adding terms can only shrink the kernel, so a dead parent (mask
     without its lowest bit) kills the mask without a solve. The masks are
     walked depth-first down that parent tree, whose children of P are
-    ``P | 1 << k`` for each k below P's lowest bit in ascending k: that is
-    increasing mask order, and each child's sum is its parent's plus
-    ``stack[k]``, one addition into a buffer per depth. So the members of a
-    sum are added from the highest index down; a sum of three or more can
-    differ in its last bits from ``stack[members].sum(axis=0)``, and it is
-    exactly Hermitian all the same. With ``masks`` given, only those masks
-    and their lowest-bit parent chains are walked, so the asked entries are
-    the full table's, every other entry reads False, and ValidationError is
-    raised for a non-PSD sum only among the masks solved.
+    ``P | 1 << k`` for each k below P's lowest bit. All children of an alive
+    parent are built at once, each as the parent's sum plus ``stack[k]``
+    (one addition per child), and solved by one batched ``eigvalsh``. Then
+    each child is cut and, if alive, walked, in ascending k and with its row
+    of the batch as its sum, so at most r sums per depth are held. The masks
+    are thus visited in increasing order, and a non-PSD sum raises
+    ValidationError at the same mask as a walk that solves one mask at a
+    time. The members of a sum are added from the highest index down; a sum
+    of three or more can differ in its last bits from
+    ``stack[members].sum(axis=0)``, and it is exactly Hermitian all the
+    same. With ``masks`` given, only those masks and their lowest-bit parent
+    chains are walked, so the asked entries are the full table's, every
+    other entry reads False, and ValidationError is raised for a non-PSD
+    sum only among the masks solved.
     """
     r = len(stack)
     alive = np.zeros(1 << r, dtype=bool)
@@ -112,20 +120,24 @@ def _alive_table(stack, tol, masks=None):
             while mask and mask not in chains:
                 chains.add(mask)
                 mask &= mask - 1
-    sums = np.zeros((r + 1,) + stack.shape[1:], dtype=stack.dtype)
 
-    def walk(parent, low, depth):
-        for k in range(low):
+    def walk(parent, parent_sum, low):
+        if chains is None:
+            ks, children = range(low), stack[:low]
+        else:
+            ks = [k for k in range(low) if parent | 1 << k in chains]
+            children = stack[ks]
+        if not ks:
+            return
+        sums = parent_sum + children
+        w = np.linalg.eigvalsh(sums)  # ascending, one row per child
+        for k, h, lowest, highest in zip(ks, sums, w[:, 0], w[:, -1]):
             mask = parent | 1 << k
-            if chains is not None and mask not in chains:
-                continue
-            h = np.add(sums[depth], stack[k], out=sums[depth + 1])
-            w = np.linalg.eigvalsh(h)  # ascending
-            alive[mask] = w[0] < _zero_cut(w[0], w[-1], tol, "subset kernel test")
+            alive[mask] = lowest < _zero_cut(lowest, highest, tol, "subset kernel test")
             if alive[mask]:
-                walk(mask, k, depth + 1)
+                walk(mask, h, k)
 
-    walk(0, r, 0)
+    walk(0, np.zeros(stack.shape[1:], dtype=stack.dtype), r)
     return alive
 
 

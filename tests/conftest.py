@@ -1,3 +1,7 @@
+import math
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
 
@@ -11,6 +15,26 @@ def acceptance(request):
     def record(line: str) -> None:
         request.config._acceptance_lines.append(line)
     return record
+
+
+@pytest.fixture
+def eigvalsh_solves(monkeypatch):
+    """Counter of np.linalg.eigvalsh use for the rest of the test.
+
+    ``calls`` counts the calls, ``matrices`` the matrices solved: the
+    product of each argument's leading dimensions, 1 for a single matrix.
+    Set both to 0 to start a new count.
+    """
+    counter = SimpleNamespace(calls=0, matrices=0)
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        counter.calls += 1
+        counter.matrices += math.prod(np.shape(a)[:-2])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return counter
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -13,7 +13,7 @@ from ebchan.channel import (depolarizing, make_holevo_form, map_to_diagonal,
                             stochastic_rep)
 from ebchan.checks import run_channel_checks
 from ebchan.cli import main
-from ebchan.errors import ConsistencyError
+from ebchan.errors import ConsistencyError, ValidationError
 from ebchan.sampling import random_holevo_form
 from ebchan.serialization import (emit_channel_document, matrix_to_literal,
                                   parse_channel_document)
@@ -297,6 +297,49 @@ def test_verify_bad_document(tmp_path, capsys):
     assert captured.err == "error: effects sum to I only within 1.000e-01, tolerance 1.0e-10\n"
 
 
+@pytest.fixture
+def stochastic_fault_file(tmp_path):
+    # the states validate within psd_tol, but the induced S has an entry of
+    # -4.5e-10, beyond stochastic_tol: the fault surfaces after validation
+    eps = 9e-10
+    form = make_holevo_form(3, [(np.diag([1.0, 0.0, 0.5]), np.diag([1 + eps, 0.0, -eps])),
+                                (np.diag([0.0, 1.0, 0.5]), np.diag([0.0, 1 + eps, -eps]))])
+    path = tmp_path / "stochastic-fault.json"
+    path.write_text(emit_channel_document(form))
+    return str(path)
+
+
+STOCHASTIC_FAULT = ("error: induced matrix is not column-stochastic (corrupted form?): "
+                    "entry (0,1) = -4.500e-10 is negative beyond tolerance\n")
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_a_fault_found_after_validation_exits_two(command, stochastic_fault_file, capsys):
+    assert main([command, stochastic_fault_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == STOCHASTIC_FAULT
+
+
+def test_verify_random_reports_a_channel_raising_validation_error_and_goes_on(capsys,
+                                                                             monkeypatch):
+    seen = []
+
+    def raise_on_first(form, tol, rng):
+        seen.append(form)
+        if len(seen) == 1:
+            raise ValidationError("induced matrix is not column-stochastic")
+        return run_channel_checks(form, tol, rng)
+
+    monkeypatch.setattr("ebchan.cli.run_channel_checks", raise_on_first)
+    assert main(["verify", "--random", "3", "--seed", "0"]) == 1
+    captured = capsys.readouterr()
+    assert len(seen) == 3 and captured.err == ""
+    lines = [line for line in captured.out.splitlines() if line.startswith("random[")]
+    assert lines[0].endswith(": FAILED exception (induced matrix is not column-stochastic)")
+    assert all(line.endswith(": ok") for line in lines[1:]) and len(lines) == 3
+
+
 @pytest.fixture(params=["key", "value"])
 def lone_surrogate_file(request, tmp_path):
     doc = json.loads(emit_channel_document(depolarizing(2)))
@@ -403,6 +446,15 @@ def test_analyze_rejects_zero_eig_tol_of_one(depolarizing_file, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: zero_eig_tol must be below 1, got 1.0" in captured.err
+
+
+def test_analyze_rejects_match_tol_of_one(depolarizing_file, capsys):
+    # every eigenvalue compared lies in the closed unit disk
+    assert main(["analyze", depolarizing_file, "--match-tol", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: match_tol must be below 1, got 5.0: "
+                            "the spectra it matches lie in the closed unit disk\n")
 
 
 def test_verify_random_reports_a_raising_channel_and_goes_on(capsys, monkeypatch):

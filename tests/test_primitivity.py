@@ -5,7 +5,7 @@ from ebchan.channel import (apply_linear, depolarizing, iterated_form, make_hole
                             map_to_diagonal, qc_from_stochastic, stochastic_rep)
 from ebchan import primitivity
 from ebchan.errors import ValidationError
-from ebchan.linalg import DEFAULT_TOL, kernel_psd
+from ebchan.linalg import DEFAULT_TOL, _zero_cut, kernel_psd
 from ebchan.primitivity import (SUBSET_CAP, channel_primitivity_index,
                                 holevo_rank_bounds, strictly_positive_at,
                                 sum_R_positive_definite, sweep_positive_iterate)
@@ -310,39 +310,99 @@ def test_alive_table_matches_the_symmetrize_and_count_reference():
         assert got.tobytes() == _reference_alive_table(stack).tobytes()
 
 
-def _count_eigvalsh(monkeypatch):
-    """Count np.linalg.eigvalsh calls from here on; returns the one-item counter."""
-    calls = [0]
-    eigvalsh = np.linalg.eigvalsh
-
-    def counting(*args, **kwargs):
-        calls[0] += 1
-        return eigvalsh(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    return calls
+def _chains(masks):
+    """The asked masks with their lowest-bit parent chains, as a set."""
+    chains = set()
+    for mask in masks:
+        while mask:
+            chains.add(int(mask))
+            mask &= mask - 1
+    return chains
 
 
-def test_masked_alive_table_matches_the_full_table(monkeypatch):
+def test_masked_alive_table_matches_the_full_table(eigvalsh_solves):
     # at every asked mask the masked table reads as the full table; it solves
-    # exactly the masks on the asked lowest-bit chains whose parent is alive
+    # exactly the masks on the asked lowest-bit chains whose parent is alive,
+    # in one eigvalsh call per alive parent of those masks
     rng = np.random.default_rng(84)
     tables = [(stack, primitivity._alive_table(stack, DEFAULT_TOL))
               for stack in _table_oracle_stacks()]
-    solves = _count_eigvalsh(monkeypatch)
     for stack, table in tables:
         masks = rng.permutation(len(table))
         for asked in (masks[:0], masks[:3], masks[:len(masks) // 2], masks):
-            chains = set()
-            for mask in asked:
-                while mask:
-                    chains.add(int(mask))
-                    mask &= mask - 1
-            solves[0] = 0
+            chains = _chains(asked)
+            eigvalsh_solves.calls = eigvalsh_solves.matrices = 0
             got = primitivity._alive_table(stack, DEFAULT_TOL, asked)
             assert got[asked].tobytes() == table[asked].tobytes()
-            assert solves[0] == sum(1 for mask in chains if table[mask & (mask - 1)])
+            solved = [mask for mask in chains if table[mask & (mask - 1)]]
+            assert eigvalsh_solves.matrices == len(solved)
+            assert eigvalsh_solves.calls == len({mask & (mask - 1) for mask in solved})
             assert not got[[mask for mask in range(1, len(got)) if mask not in chains]].any()
+
+
+def _one_mask_at_a_time_table(stack, tol, masks=None):
+    """The subset walk with one eigvalsh per mask, cut and recursed in ascending k."""
+    r = len(stack)
+    alive = np.zeros(1 << r, dtype=bool)
+    alive[0] = True
+    chains = None if masks is None else _chains(masks)
+
+    def walk(parent, parent_sum, low):
+        for k in range(low):
+            mask = parent | 1 << k
+            if chains is not None and mask not in chains:
+                continue
+            h = parent_sum + stack[k]
+            w = np.linalg.eigvalsh(h)  # ascending
+            alive[mask] = w[0] < _zero_cut(w[0], w[-1], tol, "subset kernel test")
+            if alive[mask]:
+                walk(mask, h, k)
+
+    walk(0, np.zeros(stack.shape[1:], dtype=stack.dtype), r)
+    return alive
+
+
+def _outcome(table, stack, masks):
+    """The table's bytes, or the message of the ValidationError it raises."""
+    try:
+        return table(stack, DEFAULT_TOL, masks).tobytes()
+    except ValidationError as exc:
+        return str(exc)
+
+
+def test_sibling_batches_raise_in_walk_order():
+    # each matrix is within psd_tol of PSD, but stack[0] + stack[1] is not
+    # (mask 3, under its parent mask 2) and neither is stack[2] (mask 4): mask 4
+    # is solved in the same batch as mask 2, yet mask 2's subtree is walked first
+    stack = np.array([np.diag([0.0, -0.9e-9, 1.0]), np.diag([0.0, -0.9e-9, 0.0]),
+                      np.diag([0.0, -5e-9, 0.0])], dtype=complex)
+    for masks in (None, [3, 4], [4, 3, 1]):
+        with pytest.raises(ValidationError, match=r"lambda_min = -1\.800e-09$"):
+            primitivity._alive_table(stack, DEFAULT_TOL, masks)
+    with pytest.raises(ValidationError, match=r"lambda_min = -5\.000e-09$"):
+        primitivity._alive_table(stack, DEFAULT_TOL, [4])
+
+
+def test_sibling_batches_match_the_one_mask_walk_on_raw_stacks():
+    # raw Hermitian stacks, each matrix PSD up to a negative part near psd_tol,
+    # so sums go non-PSD at many depths: full and masked walks give the same
+    # table, or raise the same message (the same mask, the same lambda_min)
+    rng = np.random.default_rng(86)
+    raised = 0
+    for _ in range(60):
+        n, r = int(rng.integers(2, 5)), int(rng.integers(3, 8))
+        a = rng.normal(size=(r, n, 1)) + 1j * rng.normal(size=(r, n, 1))
+        v = rng.normal(size=(r, n, 1)) + 1j * rng.normal(size=(r, n, 1))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        h = a @ a.conj().transpose(0, 2, 1) * (rng.random((r, 1, 1)) < 0.7) \
+            - rng.uniform(0, 1.5e-9, (r, 1, 1)) * (v @ v.conj().transpose(0, 2, 1))
+        stack = (h + h.conj().transpose(0, 2, 1)) / 2.0  # exactly Hermitian
+        masks = rng.permutation(1 << r)
+        for asked in (None, masks[:3], masks[:len(masks) // 2]):
+            want = _outcome(_one_mask_at_a_time_table, stack, asked)
+            assert _outcome(primitivity._alive_table, stack, asked) == want
+            raised += isinstance(want, str)
+    assert raised >= 30
 
 
 def test_strictly_positive_at_never_builds_the_state_table(monkeypatch):
@@ -365,24 +425,27 @@ def test_strictly_positive_at_never_builds_the_state_table(monkeypatch):
     assert all(is_states != full for is_states, full in calls)
 
 
-@pytest.mark.parametrize("r, solves", [(6, 81), (7, 148), (8, 279)])
-def test_search_solve_counts_on_wielandt_qc_forms(r, solves, monkeypatch):
-    # one eigvalsh per solved mask: the full state table below alive parents,
-    # and the same for one iterated-effect table per m the window tests
+@pytest.mark.parametrize("r, matrices, calls", [(6, 81, 35), (7, 148, 67), (8, 279, 131)],
+                         ids=["6-81", "7-148", "8-279"])
+def test_search_solve_counts_on_wielandt_qc_forms(r, matrices, calls, eigvalsh_solves):
+    # one matrix solved per mask: the full state table below alive parents,
+    # and the same for one iterated-effect table per m the window tests;
+    # one eigvalsh call per alive parent solves all its children
     form = qc_from_stochastic(wielandt_matrix(r))
-    calls = _count_eigvalsh(monkeypatch)
     assert channel_primitivity_index(form).q_index == r * r - 2 * r + 2
-    assert calls[0] == solves
+    assert (eigvalsh_solves.matrices, eigvalsh_solves.calls) == (matrices, calls)
 
 
-@pytest.mark.parametrize("r, solves", [(6, 1846), (7, 4848), (8, 12030)])
-def test_sweep_solve_counts_on_wielandt_qc_forms(r, solves, monkeypatch):
-    # one eigvalsh per solved mask: every mask of each iterated-effect table
-    # below an alive parent, and the state masks its candidate splits need
+@pytest.mark.parametrize("r, matrices, calls", [(6, 1846, 949), (7, 4848, 2461),
+                                                 (8, 12030, 6065)],
+                         ids=["6-1846", "7-4848", "8-12030"])
+def test_sweep_solve_counts_on_wielandt_qc_forms(r, matrices, calls, eigvalsh_solves):
+    # one matrix solved per mask: every mask of each iterated-effect table
+    # below an alive parent, and the state masks its candidate splits need;
+    # one eigvalsh call per alive parent solves all its children
     form = qc_from_stochastic(wielandt_matrix(r))
-    calls = _count_eigvalsh(monkeypatch)
     assert sweep_positive_iterate(form) == (True, r * r - 2 * r + 2)
-    assert calls[0] == solves
+    assert (eigvalsh_solves.matrices, eigvalsh_solves.calls) == (matrices, calls)
 
 
 @pytest.mark.parametrize("r", range(2, 9))
