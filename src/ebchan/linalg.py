@@ -23,6 +23,20 @@ import numpy as np
 from .errors import ConsistencyError, ValidationError
 
 
+# Why each tolerance must stay below 1, and why two of them must not be 0.
+_BELOW_ONE = {
+    "psd_tol": "it is relative to max(1, lambda_max)",
+    "zero_eig_tol": "it is relative to max(1, lambda_max)",
+    "match_tol": "the spectra it matches lie in the closed unit disk",
+    "stochastic_tol": "every POVM effect has lambda_max <= 1, so every effect would "
+                      "count as zero",
+}
+_POSITIVE = {
+    "zero_eig_tol": "a zero cut counts round-off as rank",
+    "match_tol": "round-off alone separates equal eigenvalues",
+}
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Numerical thresholds shared by every analysis routine.
@@ -30,15 +44,20 @@ class Tolerances:
     psd_tol        relative eigenvalue slack for PSD/PD and Hermiticity tests
     zero_eig_tol   modulus below which an eigenvalue counts as zero; it must
                    be positive, since a zero cut would count round-off as rank
-    match_tol      max allowed distance when pairing two spectra
-    stochastic_tol slack for POVM closure, trace-one and column-sum checks
+    match_tol      max allowed distance when pairing two spectra; it must be
+                   positive, since round-off alone separates equal eigenvalues
+    stochastic_tol slack for POVM closure, trace-one and column-sum checks,
+                   and the lambda_max at or below which an effect is zero
 
     psd_tol and zero_eig_tol scale with max(1, lambda_max) and must be below
     1: at 1 or more no matrix is PD and any with lambda_max < 1 is singular.
     match_tol must be below 1 too: every eigenvalue of a channel and of its
     stochastic matrix lies in the closed unit disk, so a match distance of
     1 or more, the disk's radius, tells almost no two spectra of the same
-    size apart.
+    size apart. So must stochastic_tol: every POVM effect has lambda_max <=
+    1, so from 1 on every effect counts as zero. A stochastic_tol below 1
+    can still be loose enough to accept effects that are no POVM (at 0.5,
+    0.7 I twice passes closure); that case is not caught here.
     """
 
     psd_tol: float = 1e-9
@@ -47,19 +66,16 @@ class Tolerances:
     stochastic_tol: float = 1e-10
 
     def __post_init__(self):
-        for name in ("psd_tol", "zero_eig_tol", "match_tol", "stochastic_tol"):
+        for name, why in _BELOW_ONE.items():
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValidationError(f"{name} must be finite and nonnegative, got {value}")
-            if value >= 1 and name in ("psd_tol", "zero_eig_tol"):
-                raise ValidationError(f"{name} must be below 1, got {value}: "
-                                      "it is relative to max(1, lambda_max)")
-            if value >= 1 and name == "match_tol":
-                raise ValidationError(f"match_tol must be below 1, got {value}: "
-                                      "the spectra it matches lie in the closed unit disk")
-        if self.zero_eig_tol == 0:
-            raise ValidationError(f"zero_eig_tol must be positive, got {self.zero_eig_tol}: "
-                                  "a zero cut counts round-off as rank")
+            if value >= 1:
+                raise ValidationError(f"{name} must be below 1, got {value}: {why}")
+        for name, why in _POSITIVE.items():
+            if getattr(self, name) == 0:
+                raise ValidationError(f"{name} must be positive, got {getattr(self, name)}: "
+                                      f"{why}")
 
 
 DEFAULT_TOL = Tolerances()

@@ -12,14 +12,16 @@ the states or the iterated effects. One routine, ``_alive_table``, decides
 which subset sums have a kernel from their eigenvalues (the sums are
 exactly Hermitian, see ``HolevoForm``): a kernel iff lambda_min <
 zero_eig_tol * max(1, lambda_max), and ValidationError for lambda_min below
--psd_tol * max(1, lambda_max). It walks the masks depth-first and builds
-each sum from its parent's with one addition, so its members are added
-from the highest index down, and a sum of three or more can differ in its
-last bits from ``stack[members].sum(axis=0)``. The children of one parent
-are solved together, by one batched ``eigvalsh``, and then cut and walked
-one by one, so the sums, the masks solved and the mask at which a non-PSD
-sum raises are those of a walk that solves one mask at a time. It fills
-every mask or only those asked for, and its callers are of two kinds.
+-psd_tol * max(1, lambda_max). It walks the masks from a worklist and
+builds each sum from its parent's with one addition, so its members are
+added from the highest index down, and a sum of three or more can differ
+in its last bits from ``stack[members].sum(axis=0)``. One batched
+``eigvalsh`` call solves the children of as many waiting parents as it
+takes to reach r sums, so the masks are no longer visited in increasing
+order. The sums, the masks solved, the table, and the mask at which a
+non-PSD sum raises, with its message, are still those of a walk that
+solves one mask at a time in increasing order. It fills every mask or
+only those asked for, and its callers are of two kinds.
 ``channel_primitivity_index`` fills the full state table once per search,
 so ``analyze`` and ``run_channel_checks`` raise ValidationError wherever a
 state mask would. ``strictly_positive_at``, and through it
@@ -94,21 +96,26 @@ def _alive_table(stack, tol, masks=None):
     array, so each subset sum goes to ``eigvalsh`` as it is. Downward
     closed: adding terms can only shrink the kernel, so a dead parent (mask
     without its lowest bit) kills the mask without a solve. The masks are
-    walked depth-first down that parent tree, whose children of P are
-    ``P | 1 << k`` for each k below P's lowest bit. All children of an alive
-    parent are built at once, each as the parent's sum plus ``stack[k]``
-    (one addition per child), and solved by one batched ``eigvalsh``. Then
-    each child is cut and, if alive, walked, in ascending k and with its row
-    of the batch as its sum, so at most r sums per depth are held. The masks
-    are thus visited in increasing order, and a non-PSD sum raises
-    ValidationError at the same mask as a walk that solves one mask at a
-    time. The members of a sum are added from the highest index down; a sum
-    of three or more can differ in its last bits from
+    walked down that parent tree, whose children of P are ``P | 1 << k``
+    for each k below P's lowest bit, from a worklist: alive parents wait on
+    a stack with their sum and lowest bit. Each step pops parents from the
+    top until their children number at least r (the root alone gives r),
+    builds each child as its parent's sum plus ``stack[k]`` (one addition
+    per child), solves the batch with one ``eigvalsh`` call, cuts each child
+    and pushes the alive ones with their rows of the batch copied out, the
+    smallest mask on top. So one call solves at most 2r - 1 sums and O(r^2)
+    sums are held at once. The members of a sum are added from the highest
+    index down; a sum of three or more can differ in its last bits from
     ``stack[members].sum(axis=0)``, and it is exactly Hermitian all the
-    same. With ``masks`` given, only those masks and their lowest-bit parent
-    chains are walked, so the asked entries are the full table's, every
-    other entry reads False, and ValidationError is raised for a non-PSD
-    sum only among the masks solved.
+    same. The batches change the visit order, which is no longer
+    increasing, and the number of calls, and nothing else: the sums, the
+    masks solved and the table are those of a walk that solves one mask at
+    a time in increasing order. A non-PSD sum is not expanded; after the
+    walk the smallest such mask raises ValidationError with its own
+    lambda_min, which is where that walk would stop. With ``masks`` given,
+    only those masks and their lowest-bit parent chains are walked, so the
+    asked entries are the full table's, every other entry reads False, and
+    ValidationError is raised for a non-PSD sum only among the masks solved.
     """
     r = len(stack)
     alive = np.zeros(1 << r, dtype=bool)
@@ -121,23 +128,36 @@ def _alive_table(stack, tol, masks=None):
                 chains.add(mask)
                 mask &= mask - 1
 
-    def walk(parent, parent_sum, low):
-        if chains is None:
-            ks, children = range(low), stack[:low]
-        else:
-            ks = [k for k in range(low) if parent | 1 << k in chains]
-            children = stack[ks]
-        if not ks:
-            return
-        sums = parent_sum + children
+    pending = [(0, np.zeros(stack.shape[1:], dtype=stack.dtype), r)]
+    failure = None  # (mask, error) of the smallest non-PSD mask solved
+    while pending:
+        batch, sums = [], []
+        while pending and len(batch) < r:
+            parent, parent_sum, low = pending.pop()
+            if chains is None:
+                ks, children = range(low), stack[:low]
+            else:
+                ks = [k for k in range(low) if parent | 1 << k in chains]
+                children = stack[ks]
+            batch += [(parent | 1 << k, k) for k in ks]
+            sums.append(parent_sum + children)
+        if not batch:
+            continue
+        sums = np.concatenate(sums)
         w = np.linalg.eigvalsh(sums)  # ascending, one row per child
-        for k, h, lowest, highest in zip(ks, sums, w[:, 0], w[:, -1]):
-            mask = parent | 1 << k
-            alive[mask] = lowest < _zero_cut(lowest, highest, tol, "subset kernel test")
-            if alive[mask]:
-                walk(mask, h, k)
-
-    walk(0, np.zeros(stack.shape[1:], dtype=stack.dtype), r)
+        # pushed from the last child down, so the first is popped first
+        for (mask, k), h, lowest, highest in zip(reversed(batch), sums[::-1],
+                                                 w[::-1, 0], w[::-1, -1]):
+            try:
+                alive[mask] = lowest < _zero_cut(lowest, highest, tol, "subset kernel test")
+            except ValidationError as error:
+                if failure is None or mask < failure[0]:
+                    failure = (mask, error)
+                continue
+            if alive[mask] and k:
+                pending.append((mask, h.copy(), k))
+    if failure is not None:
+        raise failure[1]
     return alive
 
 

@@ -23,14 +23,17 @@ def eigvalsh_solves(monkeypatch):
 
     ``calls`` counts the calls, ``matrices`` the matrices solved: the
     product of each argument's leading dimensions, 1 for a single matrix.
-    Set both to 0 to start a new count.
+    ``largest`` is the most matrices that one call solved. Set all three to
+    0 to start a new count.
     """
-    counter = SimpleNamespace(calls=0, matrices=0)
+    counter = SimpleNamespace(calls=0, matrices=0, largest=0)
     eigvalsh = np.linalg.eigvalsh
 
     def counting(a, *args, **kwargs):
+        solved = math.prod(np.shape(a)[:-2])
         counter.calls += 1
-        counter.matrices += math.prod(np.shape(a)[:-2])
+        counter.matrices += solved
+        counter.largest = max(counter.largest, solved)
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)

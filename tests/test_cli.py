@@ -457,6 +457,15 @@ def test_analyze_rejects_match_tol_of_one(depolarizing_file, capsys):
                             "the spectra it matches lie in the closed unit disk\n")
 
 
+def test_analyze_rejects_match_tol_of_zero(depolarizing_file, capsys):
+    # round-off alone sets 0.9999999999999994 apart from 1 on a valid channel
+    assert main(["analyze", depolarizing_file, "--match-tol", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: match_tol must be positive, got 0.0: "
+                            "round-off alone separates equal eigenvalues\n")
+
+
 def test_verify_random_reports_a_raising_channel_and_goes_on(capsys, monkeypatch):
     seen = []
 

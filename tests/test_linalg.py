@@ -40,10 +40,19 @@ def test_tolerances_reject_zero_eig_tol_zero(value):
     assert Tolerances(zero_eig_tol=1e-300).zero_eig_tol == 1e-300
 
 
-@pytest.mark.parametrize("name", ["psd_tol", "zero_eig_tol", "match_tol"])
+@pytest.mark.parametrize("value", [0.0, -0.0])
+def test_tolerances_reject_match_tol_zero(value):
+    # round-off alone separates equal eigenvalues, so a zero match distance pairs none
+    with pytest.raises(ValidationError, match="match_tol must be positive"):
+        Tolerances(match_tol=value)
+    assert Tolerances(match_tol=1e-300).match_tol == 1e-300
+
+
+@pytest.mark.parametrize("name", ["psd_tol", "zero_eig_tol", "match_tol", "stochastic_tol"])
 def test_tolerances_reject_relative_cuts_of_one_or_more(name):
     # both cuts scale with max(1, lambda_max): at 1 no matrix would count as PD;
-    # match_tol pairs eigenvalues of the closed unit disk: at 1 it tells almost none apart
+    # match_tol pairs eigenvalues of the closed unit disk: at 1 it tells almost none apart;
+    # stochastic_tol is also the zero-effect cut: at 1 every POVM effect would be zero
     for value in (1.0, 2.5):
         with pytest.raises(ValidationError, match=f"{name} must be below 1"):
             Tolerances(**{name: value})

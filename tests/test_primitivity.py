@@ -323,7 +323,7 @@ def _chains(masks):
 def test_masked_alive_table_matches_the_full_table(eigvalsh_solves):
     # at every asked mask the masked table reads as the full table; it solves
     # exactly the masks on the asked lowest-bit chains whose parent is alive,
-    # in one eigvalsh call per alive parent of those masks
+    # each call all the asked children of one or more of those parents
     rng = np.random.default_rng(84)
     tables = [(stack, primitivity._alive_table(stack, DEFAULT_TOL))
               for stack in _table_oracle_stacks()]
@@ -331,12 +331,13 @@ def test_masked_alive_table_matches_the_full_table(eigvalsh_solves):
         masks = rng.permutation(len(table))
         for asked in (masks[:0], masks[:3], masks[:len(masks) // 2], masks):
             chains = _chains(asked)
-            eigvalsh_solves.calls = eigvalsh_solves.matrices = 0
+            eigvalsh_solves.calls = eigvalsh_solves.matrices = eigvalsh_solves.largest = 0
             got = primitivity._alive_table(stack, DEFAULT_TOL, asked)
             assert got[asked].tobytes() == table[asked].tobytes()
             solved = [mask for mask in chains if table[mask & (mask - 1)]]
             assert eigvalsh_solves.matrices == len(solved)
-            assert eigvalsh_solves.calls == len({mask & (mask - 1) for mask in solved})
+            assert eigvalsh_solves.calls <= len({mask & (mask - 1) for mask in solved})
+            assert eigvalsh_solves.largest <= 2 * len(stack) - 1
             assert not got[[mask for mask in range(1, len(got)) if mask not in chains]].any()
 
 
@@ -370,10 +371,10 @@ def _outcome(table, stack, masks):
         return str(exc)
 
 
-def test_sibling_batches_raise_in_walk_order():
+def test_batches_raise_at_the_smallest_non_psd_mask(eigvalsh_solves):
     # each matrix is within psd_tol of PSD, but stack[0] + stack[1] is not
     # (mask 3, under its parent mask 2) and neither is stack[2] (mask 4): mask 4
-    # is solved in the same batch as mask 2, yet mask 2's subtree is walked first
+    # is solved in the root's batch, before mask 3, yet mask 3 is reported
     stack = np.array([np.diag([0.0, -0.9e-9, 1.0]), np.diag([0.0, -0.9e-9, 0.0]),
                       np.diag([0.0, -5e-9, 0.0])], dtype=complex)
     for masks in (None, [3, 4], [4, 3, 1]):
@@ -381,6 +382,15 @@ def test_sibling_batches_raise_in_walk_order():
             primitivity._alive_table(stack, DEFAULT_TOL, masks)
     with pytest.raises(ValidationError, match=r"lambda_min = -5\.000e-09$"):
         primitivity._alive_table(stack, DEFAULT_TOL, [4])
+    # stack[0] (mask 1) and stack[2] (mask 4) are not PSD and share the root's
+    # batch, in which mask 4 is cut first: mask 1's lambda_min is the one reported
+    # (with masks 4 and 1 asked, that batch is the only call)
+    stack[0] = np.diag([0.0, -2e-9, 1.0])
+    for masks in (None, [4, 1], [4, 3, 1]):
+        eigvalsh_solves.calls = 0
+        with pytest.raises(ValidationError, match=r"lambda_min = -2\.000e-09$"):
+            primitivity._alive_table(stack, DEFAULT_TOL, masks)
+        assert eigvalsh_solves.calls == (1 if masks == [4, 1] else 2)
 
 
 def test_sibling_batches_match_the_one_mask_walk_on_raw_stacks():
@@ -425,27 +435,39 @@ def test_strictly_positive_at_never_builds_the_state_table(monkeypatch):
     assert all(is_states != full for is_states, full in calls)
 
 
-@pytest.mark.parametrize("r, matrices, calls", [(6, 81, 35), (7, 148, 67), (8, 279, 131)],
+@pytest.mark.parametrize("r, matrices, calls", [(6, 81, 13), (7, 148, 20), (8, 279, 29)],
                          ids=["6-81", "7-148", "8-279"])
 def test_search_solve_counts_on_wielandt_qc_forms(r, matrices, calls, eigvalsh_solves):
     # one matrix solved per mask: the full state table below alive parents,
     # and the same for one iterated-effect table per m the window tests;
-    # one eigvalsh call per alive parent solves all its children
+    # each eigvalsh call solves the children of pending parents, at least r
+    # of them while enough wait, and never more than 2r - 1
     form = qc_from_stochastic(wielandt_matrix(r))
     assert channel_primitivity_index(form).q_index == r * r - 2 * r + 2
     assert (eigvalsh_solves.matrices, eigvalsh_solves.calls) == (matrices, calls)
+    assert eigvalsh_solves.largest <= 2 * r - 1
 
 
-@pytest.mark.parametrize("r, matrices, calls", [(6, 1846, 949), (7, 4848, 2461),
-                                                 (8, 12030, 6065)],
+def test_search_solve_counts_on_a_sparse_qc_form_with_twelve_pairs(eigvalsh_solves):
+    # the shape of a subset-q document: r = n = 12, about 4,200 masks solved
+    form = primitive_qc_form(np.random.default_rng(40), 12)
+    eigvalsh_solves.calls = eigvalsh_solves.matrices = eigvalsh_solves.largest = 0
+    assert channel_primitivity_index(form).q_index == 3
+    assert (eigvalsh_solves.matrices, eigvalsh_solves.calls) == (4219, 268)
+    assert eigvalsh_solves.largest <= 2 * 12 - 1
+
+
+@pytest.mark.parametrize("r, matrices, calls", [(6, 1846, 342), (7, 4848, 701),
+                                                 (8, 12030, 1401)],
                          ids=["6-1846", "7-4848", "8-12030"])
 def test_sweep_solve_counts_on_wielandt_qc_forms(r, matrices, calls, eigvalsh_solves):
     # one matrix solved per mask: every mask of each iterated-effect table
     # below an alive parent, and the state masks its candidate splits need;
-    # one eigvalsh call per alive parent solves all its children
+    # each eigvalsh call solves the children of pending parents, at most 2r - 1
     form = qc_from_stochastic(wielandt_matrix(r))
     assert sweep_positive_iterate(form) == (True, r * r - 2 * r + 2)
     assert (eigvalsh_solves.matrices, eigvalsh_solves.calls) == (matrices, calls)
+    assert eigvalsh_solves.largest <= 2 * r - 1
 
 
 @pytest.mark.parametrize("r", range(2, 9))
