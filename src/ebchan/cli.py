@@ -87,8 +87,6 @@ def report_inconsistencies(report: AnalysisReport) -> list:
         problems.append("index gap |q - p| exceeds 1")
     if prim.holevo_rank_bound_ok is False:
         problems.append("channel index exceeds r^2 - 2r + 3")
-    if report.holevo_rank_bounds.lower > report.holevo_rank_bounds.upper:
-        problems.append("rank lower bound exceeds pair count")
     return problems
 
 

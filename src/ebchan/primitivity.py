@@ -3,31 +3,31 @@
 A channel is primitive when some iterate maps every density matrix to a
 positive definite one. For channels in pair form this reduces to two
 checkable facts: the induced stochastic matrix is primitive and the state
-sum ``sum_k R_k`` is positive definite. The exact channel index is found by
-an all-subsets kernel test on the iterated form, exploiting that for PSD
-operators the kernel of a sum is the intersection of the kernels.
+sum ``sum_k R_k`` is positive definite. The m-th iterate fails to be
+positive iff the pair indices split into a set T whose states share a
+kernel vector and a complement whose iterated effects
+G_k^(m) = sum_j (S^{m-1})_{kj} F_j share one; for PSD operators the kernel
+of a sum is the intersection of the kernels. Two routes decide this and
+share no scan. ``strictly_positive_at`` (per m, and through it
+``sweep_positive_iterate``) is the definition-level one: it scans the splits
+on ``iterated_form(form, m)``. ``channel_primitivity_index`` builds no
+iterated form: the weights of G_k^(m) are nonnegative, so the effects over
+U share the kernel of the original effects over the j that the pattern of
+S^{m-1}, the pattern that decides p, reaches from U.
 
-Each side of that test is an (r, n, n) stack of validated PSD matrices,
-the states or the iterated effects. One routine, ``_alive_table``, decides
-which subset sums have a kernel from their eigenvalues (the sums are
-exactly Hermitian, see ``HolevoForm``): a kernel iff lambda_min <
+One routine, ``_alive_table``, decides which subset sums of an (r, n, n)
+stack of validated PSD matrices have a kernel, from their eigenvalues (the
+sums are exactly Hermitian, see ``HolevoForm``): a kernel iff lambda_min <
 zero_eig_tol * max(1, lambda_max), and ValidationError for lambda_min below
 -psd_tol * max(1, lambda_max). It walks the masks from a worklist and
 builds each sum from its parent's with one addition, so its members are
 added from the highest index down, and a sum of three or more can differ
 in its last bits from ``stack[members].sum(axis=0)``. One batched
 ``eigvalsh`` call solves the children of as many waiting parents as it
-takes to reach r sums, so the masks are no longer visited in increasing
-order. The sums, the masks solved, the table, and the mask at which a
-non-PSD sum raises, with its message, are still those of a walk that
+takes to reach r sums. The sums, the masks solved, the table, and the mask
+at which a non-PSD sum raises, with its message, are those of a walk that
 solves one mask at a time in increasing order. It fills every mask or
-only those asked for, and its callers are of two kinds.
-``channel_primitivity_index`` fills the full state table once per search,
-so ``analyze`` and ``run_channel_checks`` raise ValidationError wherever a
-state mask would. ``strictly_positive_at``, and through it
-``sweep_positive_iterate``, asks for the state masks of its candidate
-splits only, afresh per call, and stays the independent route the search
-is checked against.
+only those asked for.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import numpy as np
 from .channel import HolevoForm, iterated_form, stochastic_rep
 from .errors import ConsistencyError, ValidationError
 from .linalg import DEFAULT_TOL, Tolerances, _rank_cut, _zero_cut, eig_hermitian, kernel_psd
-from .stochastic import primitivity_index, wielandt_bound
+from .stochastic import _pattern, primitivity_index, wielandt_bound
 
 SUBSET_CAP = 20
 
@@ -178,31 +178,18 @@ def strictly_positive_at(form: HolevoForm, m: int,
     state psi make every term <psi|G_k|psi> <phi|R_k|phi> vanish, i.e. when
     the pair indices split into a set T with phi in ker(sum_{k in T} R_k)
     and a complement with psi in ker(sum of the other iterated effects).
-    The test covers all 2^r splits (it is exact). The verdict is the first
-    triggering split in increasing-bitmask order. The state side is solved
-    only at the candidate splits, so a non-PSD state mask raises only if it
-    is solved. Raises ValidationError when r exceeds ``SUBSET_CAP``.
+    The effects are those of ``iterated_form(form, m)``, and the candidate
+    splits are the masks T with ``full ^ T`` alive in their full table. The
+    state side is solved at the candidates only, so a non-PSD state mask
+    raises only if it is solved. The test covers all 2^r splits (it is
+    exact); the verdict is the first triggering split in increasing-bitmask
+    order. Raises ValidationError when r exceeds ``SUBSET_CAP``.
     """
     if form.r > SUBSET_CAP:
         raise ValidationError(f"r = {form.r} exceeds the exact-enumeration cap {SUBSET_CAP}")
-    return _positive_at(form, m, tol)
-
-
-def _positive_at(form, m, tol, alive_states=None):
-    """The split scan of ``strictly_positive_at``.
-
-    The candidates are the masks T whose complement ``full ^ T`` is alive
-    in the iterated-effect table, i.e. index T of the reversed table, in
-    increasing order. ``alive_states`` is the full state table of a q
-    search; without it, the state table is solved at the candidates only.
-    Every candidate is read, so the first hit is the first split in
-    increasing-bitmask order.
-    """
     states, effects_m = form.states, iterated_form(form, m, tol).effects
-    candidates = np.flatnonzero(_alive_table(effects_m, tol)[::-1])
-    if alive_states is None:
-        alive_states = _alive_table(states, tol, candidates)
-    hits = candidates[alive_states[candidates]]
+    candidates = np.flatnonzero(_alive_table(effects_m, tol)[::-1])  # index T reads full ^ T
+    hits = candidates[_alive_table(states, tol, candidates)[candidates]]
     if not hits.size:
         return StrictPositivityResult(holds=True, m=m)
     t_mask = int(hits[0])
@@ -239,15 +226,16 @@ class ChannelPrimitivityReport:
 
 def channel_primitivity_index(form: HolevoForm,
                               tol: Tolerances = DEFAULT_TOL) -> ChannelPrimitivityReport:
-    """Exact channel primitivity index via the subset test.
+    """Exact channel primitivity index from S's zero pattern and the original effects.
 
-    The search runs over the guaranteed window [max(1, p-1), p+1];
-    ``sweep_positive_iterate`` is the definition-level oracle that scans
-    from m = 1, one ``strictly_positive_at`` call per m. Positivity once
-    reached must persist, so the search re-tests at q + 1 whenever that lies
-    inside the window and refuses to return an answer contradicting
-    monotonicity. The state-side table does not depend on m, so it is
-    filled in full once per search and read by every m tested.
+    The search runs over the guaranteed window [max(1, p-1), p+1]. It fills
+    the state table once and keeps its maximal alive sets T*, since a split
+    blocks positivity only if some T* containing its state side does. The
+    m-th iterate is positive iff no complement ``full ^ T*`` reaches, by the
+    pattern of S^{m-1}, an alive mask of one table on the original effects,
+    solved at the asked masks only. Positivity once reached must persist, so
+    the search re-tests at q + 1 whenever that lies inside the window and
+    refuses to return an answer contradicting monotonicity.
     """
     s = stochastic_rep(form, tol)
     verdict = primitivity_index(s, tol)
@@ -270,16 +258,22 @@ def channel_primitivity_index(form: HolevoForm,
             holevo_rank_bound_ok=None, q_method="bounds-only", q_window=window)
 
     alive_states = _alive_table(form.states, tol)
-    q = None
-    for m in range(window[0], window[1] + 1):
-        if _positive_at(form, m, tol, alive_states).holds:
-            q = m
-            break
-    if q is None:
+    masks, weights = np.arange(len(alive_states)), 1 << np.arange(form.r)
+    maximal = alive_states.copy()
+    for weight in weights:  # T is maximal iff no T | 1 << k is alive
+        maximal &= (masks & weight > 0) | ~alive_states[masks | weight]
+    complements = (masks[maximal, None] ^ masks[-1]) & weights > 0  # pair k in full ^ T*
+    pattern = _pattern(s, tol)
+    asked = [complements @ np.linalg.matrix_power(pattern, m - 1) @ weights  # effect masks
+             for m in range(window[0], window[1] + 1)]
+    alive_effects = _alive_table(form.effects, tol, set(np.concatenate(asked).tolist()))
+    positive = [not alive_effects[reached].any() for reached in asked]
+    if True not in positive:
         raise ConsistencyError(
             f"primitive channel shows no positive iterate in [{window[0]}, {window[1]}]; "
             f"p = {p}")
-    if q < window[1] and not _positive_at(form, q + 1, tol, alive_states).holds:
+    q = window[0] + positive.index(True)
+    if q < window[1] and not positive[q + 1 - window[0]]:
         raise ConsistencyError(f"positivity holds at m = {q} but not at m = {q + 1}")
 
     return ChannelPrimitivityReport(

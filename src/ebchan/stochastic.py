@@ -1,8 +1,8 @@
 """Column-stochastic matrix machinery: validation, primitivity, stationary points.
 
 Primitivity is decided on the zero pattern alone (entries above
-``stochastic_tol`` count as positive) using 0/1 matrix products, so powers
-of sub-stochastic entries can never underflow the test.
+``stochastic_tol`` count as positive) using boolean matrix products, so
+powers of sub-stochastic entries can never underflow the test.
 """
 
 from __future__ import annotations
@@ -64,16 +64,20 @@ def make_stochastic(entries, tol: Tolerances = DEFAULT_TOL):
     return arr
 
 
+def _pattern(s, tol: Tolerances):
+    """S's zero pattern: True where an entry exceeds ``stochastic_tol``."""
+    return np.asarray(s, dtype=np.float64) > tol.stochastic_tol
+
+
 def primitivity_index(s, tol: Tolerances = DEFAULT_TOL) -> PrimitivityVerdict:
     """Least m with S^m entrywise positive, searched incrementally up to the bound."""
-    p = (np.asarray(s, dtype=np.float64) > tol.stochastic_tol).astype(np.uint64)
+    p = _pattern(s, tol)
     bound = wielandt_bound(p.shape[0])
     power = p
     for m in range(1, bound + 1):
         if power.all():
             return PrimitivityVerdict(primitive=True, index=m)
-        # 0/1 products are bounded by r before re-clamping, so uint64 cannot overflow
-        power = (power @ p > 0).astype(np.uint64)
+        power = power @ p  # a boolean product: the pattern of S^(m+1)
     return PrimitivityVerdict(primitive=False, index=None)
 
 

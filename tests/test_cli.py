@@ -10,11 +10,11 @@ import pytest
 
 import ebchan
 from ebchan.channel import (depolarizing, make_holevo_form, map_to_diagonal,
-                            stochastic_rep)
+                            qc_from_stochastic, stochastic_rep)
 from ebchan.checks import run_channel_checks
 from ebchan.cli import main
 from ebchan.errors import ConsistencyError, ValidationError
-from ebchan.sampling import random_holevo_form
+from ebchan.sampling import random_holevo_form, wielandt_matrix
 from ebchan.serialization import (emit_channel_document, matrix_to_literal,
                                   parse_channel_document)
 
@@ -536,6 +536,30 @@ def test_near_singular_state_sum_ends_in_a_verdict(tmp_path, capsys):
     assert "  channel primitive: no (q = none)\n" in captured.out
     assert main(["verify", str(path)]) == 0
     assert capsys.readouterr().out == (f"{path} (n = 2, r = 2): ok\nall invariants pass\n")
+
+
+def decayed_wielandt_matrix():
+    # the Wielandt pattern on 4 pairs with chord weights (1e-3, 1 - 1e-3)
+    s = np.array(wielandt_matrix(4))
+    s[0, 3], s[1, 3] = 1e-3, 1.0 - 1e-3
+    return s
+
+
+@pytest.mark.parametrize("s, q", [
+    # S^(m-1) has entries below the kernel cut; the pattern of S^(m-1) does not
+    (decayed_wielandt_matrix(), 10),
+    # the pattern counts S's 1e-9 as positive (p = 1); the kernel cut counts
+    # the effect diag(1e-9, 0.5) as singular, so q = 2
+    ([[1 - 1e-9, 0.5], [1e-9, 0.5]], 2),
+], ids=["decayed-wielandt", "tiny-entry"])
+def test_analyze_reads_q_off_the_pattern_of_s(s, q, tmp_path, capsys):
+    path = tmp_path / "qc.json"
+    path.write_text(emit_channel_document(qc_from_stochastic(s)))
+    assert main(["analyze", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert f"  channel primitive: yes (q = {q})\n" in captured.out
+    assert captured.out.endswith("consistency: ok\n")
 
 
 def test_analyze_rejects_nan_entry(tmp_path, capsys):

@@ -3,7 +3,7 @@ import pytest
 
 from ebchan.channel import (apply_linear, depolarizing, iterated_form, make_holevo_form,
                             map_to_diagonal, qc_from_stochastic, stochastic_rep)
-from ebchan import primitivity
+from ebchan import channel, primitivity
 from ebchan.errors import ValidationError
 from ebchan.linalg import DEFAULT_TOL, _zero_cut, kernel_psd
 from ebchan.primitivity import (SUBSET_CAP, channel_primitivity_index,
@@ -26,6 +26,13 @@ def example_one():
 
 def example_two():
     return make_holevo_form(2, [(0.5 * E00, E00), (0.5 * E11, E00), (0.5 * IDENT, E11)])
+
+
+def decayed_wielandt_matrix(r, eps):
+    # the Wielandt pattern with chord weights (eps, 1 - eps)
+    s = np.array(wielandt_matrix(r))
+    s[0, r - 1], s[1, r - 1] = eps, 1.0 - eps
+    return s
 
 
 def singular_sum_form():
@@ -166,20 +173,80 @@ def test_window_matches_full_search():
     assert tested >= 9
 
 
+def non_diagonal_form(rng):
+    # effects diag(w_k) in a random unitary basis, with zero weights, and
+    # states of random rank on random sets of that basis, so the maximal
+    # alive state sets are not just "all pairs but one"
+    n, r = int(rng.integers(2, 5)), int(rng.integers(2, 9))
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    basis, _ = np.linalg.qr(gaussian(n, n))
+    keep = rng.random((r, n)) >= rng.uniform(0.2, 0.7)
+    keep[rng.integers(r, size=n), np.arange(n)] = True  # every basis vector is weighed
+    keep[np.arange(r), rng.integers(n, size=r)] = True  # no effect is zero
+    weights = rng.gamma(1.0, size=(r, n)) * keep
+    weights /= weights.sum(axis=0)
+    pairs = []
+    for w in weights:
+        support = np.flatnonzero(rng.random(n) < 0.6)
+        if not support.size:
+            support = np.arange(n)
+        g = basis[:, support] @ gaussian(support.size, int(rng.integers(1, support.size + 1)))
+        rho = g @ g.conj().T
+        pairs.append(((basis * w) @ basis.conj().T, rho / np.trace(rho).real))
+    return make_holevo_form(n, pairs)
+
+
+def test_search_matches_the_sweep_on_non_diagonal_forms():
+    rng = np.random.default_rng(41)
+    gaps = set()
+    for _ in range(200):
+        form = non_diagonal_form(rng)
+        report = channel_primitivity_index(form)
+        assert sweep_positive_iterate(form) == (report.channel_primitive, report.q_index)
+        if report.channel_primitive:
+            gaps.add(report.q_index - report.p_index)
+    assert gaps == {-1, 0, 1}
+
+
 def test_state_table_is_built_once_per_search(monkeypatch):
     form = primitive_qc_form(np.random.default_rng(37), 6)
     calls = []
 
-    def counting(mats, tol):
-        calls.append(mats is form.states)
-        return alive_table(mats, tol)
+    def counting(mats, tol, masks=None):
+        calls.append((mats is form.states, mats is form.effects, masks is None))
+        return alive_table(mats, tol, masks)
 
     alive_table = primitivity._alive_table
     monkeypatch.setattr(primitivity, "_alive_table", counting)
     report = channel_primitivity_index(form)
     assert report.p_index >= 2  # the window starts at p - 1 and tests p too
-    assert calls.count(True) == 1
-    assert calls.count(False) >= 2  # one iterated-effect table per m tested
+    # one full state table, and one table on the original effects, solved
+    # at the masks every m of the window asks for
+    assert calls == [(True, False, True), (False, True, False)]
+
+
+def test_search_builds_no_iterated_form(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search built an iterated form")
+
+    form = qc_from_stochastic(wielandt_matrix(6))
+    monkeypatch.setattr(primitivity, "iterated_form", refuse)
+    monkeypatch.setattr(channel, "iterated_form", refuse)
+    assert channel_primitivity_index(form).q_index == 26
+
+
+@pytest.mark.parametrize("r, eps, p", [(4, 1e-3, 10), (5, 1e-3, 17), (6, 1e-2, 26)],
+                         ids=["4", "5", "6"])
+def test_search_is_exact_where_the_iterated_weights_decay(r, eps, p):
+    # every entry of S is 0 or >= eps, but entries of S^(m-1) fall below the
+    # kernel cut, so a kernel test on the iterated effects finds no positive
+    # iterate in the window; the pattern of S^(m-1) does not decay
+    form = qc_from_stochastic(decayed_wielandt_matrix(r, eps))
+    report = channel_primitivity_index(form)
+    assert (report.p_index, report.q_index) == (p, p)
 
 
 def test_bounds_only_above_cap():
@@ -435,11 +502,11 @@ def test_strictly_positive_at_never_builds_the_state_table(monkeypatch):
     assert all(is_states != full for is_states, full in calls)
 
 
-@pytest.mark.parametrize("r, matrices, calls", [(6, 81, 13), (7, 148, 20), (8, 279, 29)],
-                         ids=["6-81", "7-148", "8-279"])
+@pytest.mark.parametrize("r, matrices, calls", [(6, 69, 15), (7, 134, 23), (8, 263, 33)],
+                         ids=["6-69", "7-134", "8-263"])
 def test_search_solve_counts_on_wielandt_qc_forms(r, matrices, calls, eigvalsh_solves):
     # one matrix solved per mask: the full state table below alive parents,
-    # and the same for one iterated-effect table per m the window tests;
+    # and the effect masks the window's m ask for with their parent chains;
     # each eigvalsh call solves the children of pending parents, at least r
     # of them while enough wait, and never more than 2r - 1
     form = qc_from_stochastic(wielandt_matrix(r))
@@ -453,7 +520,7 @@ def test_search_solve_counts_on_a_sparse_qc_form_with_twelve_pairs(eigvalsh_solv
     form = primitive_qc_form(np.random.default_rng(40), 12)
     eigvalsh_solves.calls = eigvalsh_solves.matrices = eigvalsh_solves.largest = 0
     assert channel_primitivity_index(form).q_index == 3
-    assert (eigvalsh_solves.matrices, eigvalsh_solves.calls) == (4219, 268)
+    assert (eigvalsh_solves.matrices, eigvalsh_solves.calls) == (4167, 269)
     assert eigvalsh_solves.largest <= 2 * 12 - 1
 
 
