@@ -289,7 +289,7 @@ def iterated_form(form: HolevoForm, m: int, tol: Tolerances = DEFAULT_TOL) -> Ho
     parts of the derived effects and shares the state stack of ``form``.
     """
     if m < 1:
-        raise ValueError(f"iteration count must be >= 1, got {m}")
+        raise ValidationError(f"iteration count must be >= 1, got {m}")
     if m == 1:
         return form
     s = stochastic_rep(form, tol)

@@ -27,7 +27,11 @@ in its last bits from ``stack[members].sum(axis=0)``. One batched
 takes to reach r sums. The sums, the masks solved, the table, and the mask
 at which a non-PSD sum raises, with its message, are those of a walk that
 solves one mask at a time in increasing order. It fills every mask or
-only those asked for.
+only those asked for. A stack of diagonal matrices, as the states, the
+effects and every iterate of a quantum-classical form are, is walked on its
+(r, n) real diagonals instead, and each sum's lambda_min and lambda_max are
+its row's min and max, which are what ``eigvalsh`` returns for that
+diagonal matrix; no mask, batch or message changes.
 """
 
 from __future__ import annotations
@@ -89,6 +93,19 @@ class StrictPositivityResult:
     value: float | None = None
 
 
+def _extremes(sums):
+    """lambda_min and lambda_max of each sum of a batch.
+
+    A (b, n, n) batch of Hermitian matrices goes to one ``eigvalsh`` call;
+    a (b, n) batch holds the real diagonals of diagonal matrices, whose
+    extremes are the rows' min and max.
+    """
+    if sums.ndim == 2:
+        return sums.min(axis=1), sums.max(axis=1)
+    w = np.linalg.eigvalsh(sums)  # ascending, one row per sum
+    return w[:, 0], w[:, -1]
+
+
 def _alive_table(stack, tol, masks=None):
     """alive[mask] = True iff the sum of ``stack[k]`` over the bits k of ``mask`` has a kernel.
 
@@ -101,14 +118,14 @@ def _alive_table(stack, tol, masks=None):
     a stack with their sum and lowest bit. Each step pops parents from the
     top until their children number at least r (the root alone gives r),
     builds each child as its parent's sum plus ``stack[k]`` (one addition
-    per child), solves the batch with one ``eigvalsh`` call, cuts each child
-    and pushes the alive ones with their rows of the batch copied out, the
-    smallest mask on top. So one call solves at most 2r - 1 sums and O(r^2)
-    sums are held at once. The members of a sum are added from the highest
+    per child), takes the batch's lambda_min and lambda_max with one
+    ``_extremes`` call, cuts each child and pushes the alive ones with their
+    rows of the batch copied out, the smallest mask on top. So one batch
+    holds at most 2r - 1 sums and O(r^2) sums are held at once. The members of a sum are added from the highest
     index down; a sum of three or more can differ in its last bits from
     ``stack[members].sum(axis=0)``, and it is exactly Hermitian all the
     same. The batches change the visit order, which is no longer
-    increasing, and the number of calls, and nothing else: the sums, the
+    increasing, and the number of batches, and nothing else: the sums, the
     masks solved and the table are those of a walk that solves one mask at
     a time in increasing order. A non-PSD sum is not expanded; after the
     walk the smallest such mask raises ValidationError with its own
@@ -116,8 +133,24 @@ def _alive_table(stack, tol, masks=None):
     only those masks and their lowest-bit parent chains are walked, so the
     asked entries are the full table's, every other entry reads False, and
     ValidationError is raised for a non-PSD sum only among the masks solved.
+
+    When every off-diagonal entry of ``stack`` is zero, the walk runs on the
+    real diagonals instead: each child is its parent's row plus the
+    diagonal of ``stack[k]``, bitwise the diagonal of the matrix sum, and
+    its extremes are the row's min and max. They equal ``eigvalsh``'s:
+    LAPACK's tridiagonal reduction leaves a diagonal matrix's diagonal as it
+    is, with zero off-diagonals, and the tridiagonal solver returns that
+    diagonal sorted. The only other arithmetic is LAPACK's rescaling of a
+    matrix whose norm is below about 1e-146, far below the zero cut and
+    never non-PSD beyond ``psd_tol``, or above about 1e146, which no sum of
+    effects or states comes near. So the masks solved, the batches, the
+    table and the non-PSD mask with its message are those of the matrix
+    walk.
     """
     r = len(stack)
+    diagonal = stack.diagonal(axis1=1, axis2=2)
+    if np.count_nonzero(stack) == np.count_nonzero(diagonal):
+        stack = diagonal.real  # each sum's spectrum is its diagonal, as eigvalsh returns it
     alive = np.zeros(1 << r, dtype=bool)
     alive[0] = True  # empty sum is the zero matrix, kernel is everything
     chains = None
@@ -144,10 +177,10 @@ def _alive_table(stack, tol, masks=None):
         if not batch:
             continue
         sums = np.concatenate(sums)
-        w = np.linalg.eigvalsh(sums)  # ascending, one row per child
+        mins, maxs = _extremes(sums)
         # pushed from the last child down, so the first is popped first
         for (mask, k), h, lowest, highest in zip(reversed(batch), sums[::-1],
-                                                 w[::-1, 0], w[::-1, -1]):
+                                                 mins[::-1], maxs[::-1]):
             try:
                 alive[mask] = lowest < _zero_cut(lowest, highest, tol, "subset kernel test")
             except ValidationError as error:
@@ -211,6 +244,14 @@ class ChannelPrimitivityReport:
     when not primitive, or when ``q_method`` is 'bounds-only' because r
     exceeded the exact-enumeration cap ``SUBSET_CAP``; ``q_window`` then
     carries the guaranteed interval [max(1, p-1), p+1]).
+
+    ``bound_abs_diff_ok`` (|q - p| <= 1) observes the lower side of the
+    gap: the search tests m = p - 2 as well as the window, so it is False
+    exactly when that iterate is already positive, and q = p - 2 is then
+    reported. The upper side is not a field: no positive iterate up to
+    p + 1 raises ConsistencyError. ``holevo_rank_bound_ok``
+    (q <= r^2 - 2r + 3) observes nothing the search does not fix: q is at
+    most p + 1, and ``primitivity_index`` returns p <= r^2 - 2r + 2.
     """
 
     s_primitive: bool
@@ -228,8 +269,10 @@ def channel_primitivity_index(form: HolevoForm,
                               tol: Tolerances = DEFAULT_TOL) -> ChannelPrimitivityReport:
     """Exact channel primitivity index from S's zero pattern and the original effects.
 
-    The search runs over the guaranteed window [max(1, p-1), p+1]. It fills
-    the state table once and keeps its maximal alive sets T*, since a split
+    The search runs over the guaranteed window [max(1, p-1), p+1], and from
+    p = 3 on also tests m = p - 2, where theory says the iterate is not
+    positive yet; q is the least positive m tested. It fills the state
+    table once and keeps its maximal alive sets T*, since a split
     blocks positivity only if some T* containing its state side does. The
     m-th iterate is positive iff no complement ``full ^ T*`` reaches, by the
     pattern of S^{m-1}, an alive mask of one table on the original effects,
@@ -264,16 +307,17 @@ def channel_primitivity_index(form: HolevoForm,
         maximal &= (masks & weight > 0) | ~alive_states[masks | weight]
     complements = (masks[maximal, None] ^ masks[-1]) & weights > 0  # pair k in full ^ T*
     pattern = _pattern(s, tol)
+    first = max(1, p - 2)  # m = p - 2 observes the lower side of the index gap
     asked = [complements @ np.linalg.matrix_power(pattern, m - 1) @ weights  # effect masks
-             for m in range(window[0], window[1] + 1)]
+             for m in range(first, window[1] + 1)]
     alive_effects = _alive_table(form.effects, tol, set(np.concatenate(asked).tolist()))
     positive = [not alive_effects[reached].any() for reached in asked]
     if True not in positive:
         raise ConsistencyError(
             f"primitive channel shows no positive iterate in [{window[0]}, {window[1]}]; "
             f"p = {p}")
-    q = window[0] + positive.index(True)
-    if q < window[1] and not positive[q + 1 - window[0]]:
+    q = first + positive.index(True)
+    if q < window[1] and not positive[q + 1 - first]:
         raise ConsistencyError(f"positivity holds at m = {q} but not at m = {q + 1}")
 
     return ChannelPrimitivityReport(

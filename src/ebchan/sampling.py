@@ -14,6 +14,7 @@ __all__ = [
 import numpy as np
 
 from .channel import HolevoForm, make_holevo_form, qc_from_stochastic
+from .errors import ValidationError
 from .linalg import DEFAULT_TOL, Tolerances, eig_hermitian
 from .stochastic import make_stochastic
 
@@ -116,7 +117,7 @@ def wielandt_matrix(r: int, tol: Tolerances = DEFAULT_TOL):
     primitivity index attains the classical bound r^2 - 2r + 2.
     """
     if r < 2:
-        raise ValueError(f"pattern needs r >= 2, got {r}")
+        raise ValidationError(f"pattern needs r >= 2, got {r}")
     s = np.zeros((r, r))
     for k in range(r - 1):
         s[k + 1, k] = 1.0

@@ -34,7 +34,7 @@ class PrimitivityVerdict:
 def wielandt_bound(r: int) -> int:
     """Classical upper bound r^2 - 2r + 2 on the primitivity index of an r x r matrix."""
     if r < 1:
-        raise ValueError(f"dimension must be positive, got {r}")
+        raise ValidationError(f"dimension must be positive, got {r}")
     return r * r - 2 * r + 2
 
 

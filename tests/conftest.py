@@ -1,8 +1,9 @@
-import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+
+from ebchan import primitivity
 
 
 def pytest_configure(config):
@@ -18,25 +19,32 @@ def acceptance(request):
 
 
 @pytest.fixture
-def eigvalsh_solves(monkeypatch):
-    """Counter of np.linalg.eigvalsh use for the rest of the test.
+def kernel_batches(monkeypatch):
+    """Counter of the subset kernel test's batches for the rest of the test.
 
-    ``calls`` counts the calls, ``matrices`` the matrices solved: the
-    product of each argument's leading dimensions, 1 for a single matrix.
-    ``largest`` is the most matrices that one call solved. Set all three to
-    0 to start a new count.
+    ``calls`` counts the batches whose extremes ``primitivity._extremes``
+    took, ``sums`` the subset sums in them (one per row of a batch), and
+    ``largest`` the most sums in one batch. ``eigvalsh`` counts the calls
+    to np.linalg.eigvalsh: one per batch of matrices, none for a batch of
+    diagonals. ``reset()`` sets all four to 0 to start a new count.
     """
-    counter = SimpleNamespace(calls=0, matrices=0, largest=0)
-    eigvalsh = np.linalg.eigvalsh
+    counter = SimpleNamespace()
+    counter.reset = lambda: vars(counter).update(calls=0, sums=0, largest=0, eigvalsh=0)
+    counter.reset()
+    extremes, eigvalsh = primitivity._extremes, np.linalg.eigvalsh
 
-    def counting(a, *args, **kwargs):
-        solved = math.prod(np.shape(a)[:-2])
+    def counting_extremes(sums):
         counter.calls += 1
-        counter.matrices += solved
-        counter.largest = max(counter.largest, solved)
+        counter.sums += len(sums)
+        counter.largest = max(counter.largest, len(sums))
+        return extremes(sums)
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        counter.eigvalsh += 1
         return eigvalsh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    monkeypatch.setattr(primitivity, "_extremes", counting_extremes)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     return counter
 
 

@@ -3,12 +3,14 @@ import os
 import subprocess
 import sys
 import types
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ebchan
+from ebchan import primitivity
 from ebchan.channel import (depolarizing, make_holevo_form, map_to_diagonal,
                             qc_from_stochastic, stochastic_rep)
 from ebchan.checks import run_channel_checks
@@ -560,6 +562,25 @@ def test_analyze_reads_q_off_the_pattern_of_s(s, q, tmp_path, capsys):
     assert captured.err == ""
     assert f"  channel primitive: yes (q = {q})\n" in captured.out
     assert captured.out.endswith("consistency: ok\n")
+
+
+def test_analyze_observes_the_lower_side_of_the_index_gap(tmp_path, capsys, monkeypatch):
+    # p reported 2 too high on the Wielandt qc form on 4 pairs (p = q = 10):
+    # the search tests m = p - 2 = 10, finds it positive and reports q = 10
+    index = primitivity.primitivity_index
+
+    def two_too_high(s, tol):
+        verdict = index(s, tol)
+        return replace(verdict, index=verdict.index + 2)
+
+    monkeypatch.setattr(primitivity, "primitivity_index", two_too_high)
+    path = tmp_path / "qc.json"
+    path.write_text(emit_channel_document(qc_from_stochastic(wielandt_matrix(4))))
+    assert main(["analyze", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "  matrix primitive: yes (p = 12)\n" in out
+    assert "  channel primitive: yes (q = 10)\n" in out
+    assert out.endswith("consistency: FAILED\n  - index gap |q - p| exceeds 1\n")
 
 
 def test_analyze_rejects_nan_entry(tmp_path, capsys):

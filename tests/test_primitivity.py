@@ -249,6 +249,16 @@ def test_search_is_exact_where_the_iterated_weights_decay(r, eps, p):
     assert (report.p_index, report.q_index) == (p, p)
 
 
+def test_out_of_range_counts_raise_validation_error():
+    form = example_one()
+    for call, message in ((lambda: iterated_form(form, 0), "iteration count must be >= 1"),
+                          (lambda: strictly_positive_at(form, 0), "iteration count must be >= 1"),
+                          (lambda: wielandt_bound(0), "dimension must be positive"),
+                          (lambda: wielandt_matrix(1), "pattern needs r >= 2")):
+        with pytest.raises(ValidationError, match=f"^{message}, got [01]$"):
+            call()
+
+
 def test_bounds_only_above_cap():
     report = channel_primitivity_index(above_cap_form())
     assert report.q_method == "bounds-only"
@@ -387,7 +397,7 @@ def _chains(masks):
     return chains
 
 
-def test_masked_alive_table_matches_the_full_table(eigvalsh_solves):
+def test_masked_alive_table_matches_the_full_table(kernel_batches):
     # at every asked mask the masked table reads as the full table; it solves
     # exactly the masks on the asked lowest-bit chains whose parent is alive,
     # each call all the asked children of one or more of those parents
@@ -398,13 +408,13 @@ def test_masked_alive_table_matches_the_full_table(eigvalsh_solves):
         masks = rng.permutation(len(table))
         for asked in (masks[:0], masks[:3], masks[:len(masks) // 2], masks):
             chains = _chains(asked)
-            eigvalsh_solves.calls = eigvalsh_solves.matrices = eigvalsh_solves.largest = 0
+            kernel_batches.reset()
             got = primitivity._alive_table(stack, DEFAULT_TOL, asked)
             assert got[asked].tobytes() == table[asked].tobytes()
             solved = [mask for mask in chains if table[mask & (mask - 1)]]
-            assert eigvalsh_solves.matrices == len(solved)
-            assert eigvalsh_solves.calls <= len({mask & (mask - 1) for mask in solved})
-            assert eigvalsh_solves.largest <= 2 * len(stack) - 1
+            assert kernel_batches.sums == len(solved)
+            assert kernel_batches.calls <= len({mask & (mask - 1) for mask in solved})
+            assert kernel_batches.largest <= 2 * len(stack) - 1
             assert not got[[mask for mask in range(1, len(got)) if mask not in chains]].any()
 
 
@@ -438,7 +448,7 @@ def _outcome(table, stack, masks):
         return str(exc)
 
 
-def test_batches_raise_at_the_smallest_non_psd_mask(eigvalsh_solves):
+def test_batches_raise_at_the_smallest_non_psd_mask(kernel_batches):
     # each matrix is within psd_tol of PSD, but stack[0] + stack[1] is not
     # (mask 3, under its parent mask 2) and neither is stack[2] (mask 4): mask 4
     # is solved in the root's batch, before mask 3, yet mask 3 is reported
@@ -451,13 +461,13 @@ def test_batches_raise_at_the_smallest_non_psd_mask(eigvalsh_solves):
         primitivity._alive_table(stack, DEFAULT_TOL, [4])
     # stack[0] (mask 1) and stack[2] (mask 4) are not PSD and share the root's
     # batch, in which mask 4 is cut first: mask 1's lambda_min is the one reported
-    # (with masks 4 and 1 asked, that batch is the only call)
+    # (with masks 4 and 1 asked, that batch is the only one)
     stack[0] = np.diag([0.0, -2e-9, 1.0])
     for masks in (None, [4, 1], [4, 3, 1]):
-        eigvalsh_solves.calls = 0
+        kernel_batches.reset()
         with pytest.raises(ValidationError, match=r"lambda_min = -2\.000e-09$"):
             primitivity._alive_table(stack, DEFAULT_TOL, masks)
-        assert eigvalsh_solves.calls == (1 if masks == [4, 1] else 2)
+        assert kernel_batches.calls == (1 if masks == [4, 1] else 2)
 
 
 def test_sibling_batches_match_the_one_mask_walk_on_raw_stacks():
@@ -482,6 +492,44 @@ def test_sibling_batches_match_the_one_mask_walk_on_raw_stacks():
     assert raised >= 30
 
 
+def _raw_diagonal_stack(rng):
+    """A diagonal (r, n, n) stack: zeros, entries from 1e-12 to 3, and negative
+    entries within psd_tol (1e-9) and just past it."""
+    n, r = int(rng.integers(1, 7)), int(rng.integers(3, 10))
+    d = 10.0 ** rng.uniform(-12, 0.5, (r, n))
+    kind = rng.random((r, n))
+    d[kind < 0.6] = 0.0
+    inside, beyond = kind < 0.25, kind < 0.02
+    d[inside] = -rng.uniform(0.1e-9, 0.7e-9, inside.sum())
+    d[beyond] = -rng.uniform(1.0e-9, 1.2e-9, beyond.sum())
+    stack = np.zeros((r, n, n), dtype=complex)
+    stack[:, np.arange(n), np.arange(n)] = d
+    return stack
+
+
+def test_sibling_batches_match_the_one_mask_walk_on_diagonal_stacks():
+    # the walk reads the extremes of diagonal sums off their diagonals, the
+    # one-mask walk gets them from eigvalsh: full and masked, the same table
+    # or the same message; a lambda_min below -1.2e-9 sums two negative
+    # entries, so some sums go non-PSD below depth one
+    rng = np.random.default_rng(87)
+    messages = []
+    for _ in range(60):
+        stack = _raw_diagonal_stack(rng)
+        sums = np.cumsum(stack, axis=0)
+        for got, want in zip(primitivity._extremes(np.einsum("kii->ki", sums).real),
+                             primitivity._extremes(sums)):
+            assert np.array_equal(got, want)
+        masks = rng.permutation(1 << len(stack))
+        for asked in (None, masks[:3], masks[:len(masks) // 2]):
+            want = _outcome(_one_mask_at_a_time_table, stack, asked)
+            assert _outcome(primitivity._alive_table, stack, asked) == want
+            if isinstance(want, str):
+                messages.append(want)
+    assert len(messages) >= 30
+    assert any(float(message.split(" = ")[-1]) < -1.2e-9 for message in messages)
+
+
 def test_strictly_positive_at_never_builds_the_state_table(monkeypatch):
     calls = []
 
@@ -502,39 +550,56 @@ def test_strictly_positive_at_never_builds_the_state_table(monkeypatch):
     assert all(is_states != full for is_states, full in calls)
 
 
-@pytest.mark.parametrize("r, matrices, calls", [(6, 69, 15), (7, 134, 23), (8, 263, 33)],
-                         ids=["6-69", "7-134", "8-263"])
-def test_search_solve_counts_on_wielandt_qc_forms(r, matrices, calls, eigvalsh_solves):
-    # one matrix solved per mask: the full state table below alive parents,
-    # and the effect masks the window's m ask for with their parent chains;
-    # each eigvalsh call solves the children of pending parents, at least r
-    # of them while enough wait, and never more than 2r - 1
+@pytest.mark.parametrize("r, matrices, calls", [(6, 71, 15), (7, 136, 23), (8, 265, 33)],
+                         ids=["6-71", "7-136", "8-265"])
+def test_search_solve_counts_on_wielandt_qc_forms(r, matrices, calls, kernel_batches):
+    # one sum solved per mask: the full state table below alive parents,
+    # and the effect masks that m = p - 2 and the window's m ask for, with
+    # their parent chains;
+    # each batch holds the children of pending parents, at least r of them
+    # while enough wait, and never more than 2r - 1; qc stacks are diagonal,
+    # so no batch goes to eigvalsh
     form = qc_from_stochastic(wielandt_matrix(r))
     assert channel_primitivity_index(form).q_index == r * r - 2 * r + 2
-    assert (eigvalsh_solves.matrices, eigvalsh_solves.calls) == (matrices, calls)
-    assert eigvalsh_solves.largest <= 2 * r - 1
+    assert (kernel_batches.sums, kernel_batches.calls) == (matrices, calls)
+    assert kernel_batches.largest <= 2 * r - 1
+    assert kernel_batches.eigvalsh == 0
 
 
-def test_search_solve_counts_on_a_sparse_qc_form_with_twelve_pairs(eigvalsh_solves):
+def test_search_solve_counts_on_a_sparse_qc_form_with_twelve_pairs(kernel_batches):
     # the shape of a subset-q document: r = n = 12, about 4,200 masks solved
     form = primitive_qc_form(np.random.default_rng(40), 12)
-    eigvalsh_solves.calls = eigvalsh_solves.matrices = eigvalsh_solves.largest = 0
+    kernel_batches.reset()
     assert channel_primitivity_index(form).q_index == 3
-    assert (eigvalsh_solves.matrices, eigvalsh_solves.calls) == (4167, 269)
-    assert eigvalsh_solves.largest <= 2 * 12 - 1
+    assert (kernel_batches.sums, kernel_batches.calls) == (4176, 269)
+    assert kernel_batches.largest <= 2 * 12 - 1
+    assert kernel_batches.eigvalsh == 0
 
 
 @pytest.mark.parametrize("r, matrices, calls", [(6, 1846, 342), (7, 4848, 701),
                                                  (8, 12030, 1401)],
                          ids=["6-1846", "7-4848", "8-12030"])
-def test_sweep_solve_counts_on_wielandt_qc_forms(r, matrices, calls, eigvalsh_solves):
-    # one matrix solved per mask: every mask of each iterated-effect table
+def test_sweep_solve_counts_on_wielandt_qc_forms(r, matrices, calls, kernel_batches):
+    # one sum solved per mask: every mask of each iterated-effect table
     # below an alive parent, and the state masks its candidate splits need;
-    # each eigvalsh call solves the children of pending parents, at most 2r - 1
+    # each batch holds the children of pending parents, at most 2r - 1; the
+    # iterates of a qc form are diagonal, so no batch goes to eigvalsh
     form = qc_from_stochastic(wielandt_matrix(r))
     assert sweep_positive_iterate(form) == (True, r * r - 2 * r + 2)
-    assert (eigvalsh_solves.matrices, eigvalsh_solves.calls) == (matrices, calls)
-    assert eigvalsh_solves.largest <= 2 * r - 1
+    assert (kernel_batches.sums, kernel_batches.calls) == (matrices, calls)
+    assert kernel_batches.largest <= 2 * r - 1
+    assert kernel_batches.eigvalsh == 0
+
+
+def test_gaussian_forms_solve_each_batch_with_one_eigvalsh(kernel_batches):
+    # Gaussian states and effects are not diagonal: the search and the sweep
+    # send every batch of subset sums to one eigvalsh call
+    form = random_holevo_form(np.random.default_rng(42), 3, 6, state_ranks=[1] * 6)
+    kernel_batches.reset()
+    channel_primitivity_index(form)
+    sweep_positive_iterate(form)
+    assert kernel_batches.calls > 0
+    assert kernel_batches.eigvalsh == kernel_batches.calls
 
 
 @pytest.mark.parametrize("r", range(2, 9))
