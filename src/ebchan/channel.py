@@ -46,7 +46,9 @@ class HolevoForm:
     (``np.array_equal(a, a.conj().swapaxes(-1, -2))``): the constructors
     store Hermitian parts (A + A*)/2, and entries (i, j) and (j, i) of a
     sum come from the same additions of conjugate values. Every
-    operation on the form is pure. Derived quantities that several analyses
+    operation on the form is pure. ``tol`` holds the tolerances the form was
+    validated under; every analysis of the form reads them and takes none of
+    its own. Derived quantities that several analyses
     share are cached on the instance. Forms compare and hash by identity:
     two forms built from equal data are distinct objects with distinct caches.
     """
@@ -54,6 +56,7 @@ class HolevoForm:
     n: int
     effects: np.ndarray  # F_k stacked (r, n, n): POVM effects, each PSD, summing to I
     states: np.ndarray   # R_k stacked (r, n, n): density matrices, one per effect
+    tol: Tolerances      # the tolerances the pairs were validated under
 
     @property
     def r(self) -> int:
@@ -69,9 +72,9 @@ class HolevoForm:
         return _range_basis(self)
 
     @functools.cached_property
-    def _stochastic_by_tol(self):
-        """Validated, read-only S per ``Tolerances``, filled by ``stochastic_rep``."""
-        return {}
+    def _stochastic(self):
+        """Validated, read-only S, computed once per form; see ``stochastic_rep``."""
+        return _induced_stochastic(self)
 
 
 def _hermitian_stack(mats):
@@ -141,7 +144,7 @@ def make_holevo_form(n, pairs, tol: Tolerances = DEFAULT_TOL) -> HolevoForm:
         raise ValidationError(f"effects sum to I only within {defect:.3e}, tolerance "
                       f"{tol.stochastic_tol:.1e}")
     return HolevoForm(n=n, effects=_hermitian_stack(effects),
-                      states=_hermitian_stack(states))
+                      states=_hermitian_stack(states), tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -258,46 +261,43 @@ def factorization(form: HolevoForm):
     return a, b
 
 
-def stochastic_rep(form: HolevoForm, tol: Tolerances = DEFAULT_TOL):
+def stochastic_rep(form: HolevoForm):
     """Induced r x r column-stochastic matrix with entries tr(F_i R_j).
 
-    Computed once per form and tolerance set; every call after the first
-    returns the same read-only array.
+    Computed once per form, under the form's tolerances; every call after
+    the first returns the same read-only array.
     """
-    cache = form._stochastic_by_tol
-    if tol not in cache:
-        cache[tol] = _induced_stochastic(form, tol)
-    return cache[tol]
+    return form._stochastic
 
 
-def _induced_stochastic(form: HolevoForm, tol: Tolerances):
+def _induced_stochastic(form: HolevoForm):
     s = np.einsum("iab,jba->ij", form.effects, form.states).real
     try:
-        return make_stochastic(s, tol)
+        return make_stochastic(s, form.tol)
     except ValidationError as exc:
         raise ValidationError(f"induced matrix is not column-stochastic "
                                  f"(corrupted form?): {exc}") from exc
 
 
-def iterated_form(form: HolevoForm, m: int, tol: Tolerances = DEFAULT_TOL) -> HolevoForm:
+def iterated_form(form: HolevoForm, m: int) -> HolevoForm:
     """Holevo form of the m-th iterate: effects sum_j (S^{m-1})_{kj} F_j, states unchanged.
 
     Powers of S are taken by repeated multiplication. The derived effects
     are PSD and sum to the identity, but individual ones may vanish when
     S^{m-1} has a zero row, so this constructor bypasses the zero-effect
     check that applies to externally supplied forms. It stores the Hermitian
-    parts of the derived effects and shares the state stack of ``form``.
+    parts of the derived effects and shares ``form``'s states and tolerances.
     """
     if m < 1:
         raise ValidationError(f"iteration count must be >= 1, got {m}")
     if m == 1:
         return form
-    s = stochastic_rep(form, tol)
+    s = stochastic_rep(form)
     power = np.eye(form.r)
     for _ in range(m - 1):
         power = s @ power
     effects = np.einsum("kj,jab->kab", power, form.effects)
-    return HolevoForm(n=form.n, effects=_hermitian_stack(effects), states=form.states)
+    return HolevoForm(form.n, _hermitian_stack(effects), form.states, form.tol)
 
 
 @dataclass(frozen=True)
@@ -314,9 +314,9 @@ class FixedPoint:
     unique: bool
 
 
-def fixed_point(form: HolevoForm, tol: Tolerances = DEFAULT_TOL) -> FixedPoint:
+def fixed_point(form: HolevoForm) -> FixedPoint:
     """Density-matrix fixed point sum_k pi_k R_k from a stationary pi of S."""
-    pi, unique = _solve_stationary(stochastic_rep(form, tol), tol)  # S is validated once
+    pi, unique = _solve_stationary(stochastic_rep(form), form.tol)  # S is validated once
     rho = sum(p * r for p, r in zip(pi, form.states))
     rho.setflags(write=False)
     residual = float(np.max(np.abs(apply_linear(form, rho) - rho)))
@@ -422,8 +422,7 @@ def _pair_distance(a, b):
     return float(levels[hi])
 
 
-def compare_nonzero_spectrum(form: HolevoForm,
-                             tol: Tolerances = DEFAULT_TOL) -> SpectrumComparison:
+def compare_nonzero_spectrum(form: HolevoForm) -> SpectrumComparison:
     """Check that channel and stochastic matrix share their nonzero spectrum.
 
     The channel side never runs a dense eig of the n^2 x n^2 natural rep K.
@@ -440,11 +439,11 @@ def compare_nonzero_spectrum(form: HolevoForm,
     """
     q, qh_rep = form._action_range
     lam_chan = eig_general(qh_rep @ q)
-    lam_mat = eig_general(stochastic_rep(form, tol)).astype(np.complex128)
-    chan_nz = lam_chan[np.abs(lam_chan) >= tol.zero_eig_tol]
-    mat_nz = lam_mat[np.abs(lam_mat) >= tol.zero_eig_tol]
+    lam_mat = eig_general(stochastic_rep(form)).astype(np.complex128)
+    chan_nz = lam_chan[np.abs(lam_chan) >= form.tol.zero_eig_tol]
+    mat_nz = lam_mat[np.abs(lam_mat) >= form.tol.zero_eig_tol]
     dist = _pair_distance(chan_nz, mat_nz)
-    matched = chan_nz.size == mat_nz.size and dist <= tol.match_tol
+    matched = chan_nz.size == mat_nz.size and dist <= form.tol.match_tol
     return SpectrumComparison(channel_nonzero=chan_nz, matrix_nonzero=mat_nz,
                               max_pair_distance=dist, matched=matched)
 

@@ -16,12 +16,10 @@ import numpy as np
 from .channel import (HolevoForm, _choi_from_rep, apply_linear, choi_pair_sum,
                       compare_nonzero_spectrum, factorization, fixed_point,
                       iterated_form, natural_rep, stochastic_rep)
-from .linalg import DEFAULT_TOL, Tolerances, vec
+from .linalg import ROUTE_TOL, vec
 from .primitivity import (SUBSET_CAP, _channel_index_bound, channel_primitivity_index,
                           strictly_positive_at, sweep_positive_iterate)
 
-# bound on the max-entry gap between two routes to the same quantity
-ROUTE_TOL = 1e-10
 WITNESS_TOL = 1e-8
 CONVERGENCE_TOL = 1e-6
 
@@ -41,8 +39,7 @@ def _result(name: str, ok, detail: str) -> CheckResult:
     return CheckResult(name, bool(ok), detail)
 
 
-def run_channel_checks(form: HolevoForm, tol: Tolerances = DEFAULT_TOL,
-                       rng=None) -> list:
+def run_channel_checks(form: HolevoForm, rng=None) -> list:
     """Run the full invariant suite on one channel; returns all results.
 
     ``linear_extension`` compares the channel's action with its natural rep
@@ -72,7 +69,7 @@ def run_channel_checks(form: HolevoForm, tol: Tolerances = DEFAULT_TOL,
     for f in form.effects:
         closure -= f
     defect = float(np.max(np.abs(closure)))
-    out.append(_result("povm_closure", defect <= tol.stochastic_tol,
+    out.append(_result("povm_closure", defect <= form.tol.stochastic_tol,
                        f"max |sum F - I| = {defect:.3e}"))
 
     rep = natural_rep(form)
@@ -91,7 +88,7 @@ def run_channel_checks(form: HolevoForm, tol: Tolerances = DEFAULT_TOL,
                        f"max |Choi route difference| = {choi_defect:.3e}"))
 
     a, b = factorization(form)
-    s = stochastic_rep(form, tol)
+    s = stochastic_rep(form)
     ab_defect = float(np.max(np.abs(rep - a @ b)))
     ba_defect = float(np.max(np.abs(s - (b @ a).real)))
     imag_leak = float(np.max(np.abs((b @ a).imag)))
@@ -105,21 +102,21 @@ def run_channel_checks(form: HolevoForm, tol: Tolerances = DEFAULT_TOL,
     composed = (twice[0], apply_linear(form, twice[1]))
     worst_iter = 0.0
     for m, x, chained in zip((2, 3), xs, composed):
-        at_once = apply_linear(iterated_form(form, m, tol), x)
+        at_once = apply_linear(iterated_form(form, m), x)
         scale = 1.0 + float(np.max(np.abs(x)))
         worst_iter = max(worst_iter, float(np.max(np.abs(chained - at_once))) / scale)
     out.append(_result("iterated_form", worst_iter <= ROUTE_TOL,
                        f"max m-fold composition mismatch = {worst_iter:.3e}"))
 
-    spec = compare_nonzero_spectrum(form, tol)
+    spec = compare_nonzero_spectrum(form)
     out.append(_result("nonzero_spectrum", spec.matched,
                        f"{len(spec.channel_nonzero)} vs {len(spec.matrix_nonzero)} eigenvalues, "
                        f"max pair distance = {spec.max_pair_distance:.3e}"))
 
-    fp = fixed_point(form, tol)
+    fp = fixed_point(form)
     out.append(_result("fixed_point_residual", fp.residual <= ROUTE_TOL,
                        f"|apply(rho*) - rho*| = {fp.residual:.3e}"))
-    report = channel_primitivity_index(form, tol)
+    report = channel_primitivity_index(form)
     if report.s_primitive:
         # primitive channels forget their input; the spectral gap of S sets
         # the pace (nonzero spectra of S and the channel action agree), so
@@ -148,7 +145,7 @@ def run_channel_checks(form: HolevoForm, tol: Tolerances = DEFAULT_TOL,
 
     structural = report.channel_primitive
     if r <= min(SUBSET_CAP, SWEEP_CAP):
-        swept, swept_index = sweep_positive_iterate(form, tol)
+        swept, swept_index = sweep_positive_iterate(form)
         agree = (structural == swept) and (report.q_index == swept_index)
         out.append(_result("primitivity_two_routes", agree,
                            f"structural: primitive={structural} q={report.q_index}; "
@@ -163,7 +160,7 @@ def run_channel_checks(form: HolevoForm, tol: Tolerances = DEFAULT_TOL,
     # primitive; with q = 1 there is none to probe
     probe_m = 1 if report.q_index is None else report.q_index - 1
     if r <= SUBSET_CAP and probe_m >= 1:
-        res = strictly_positive_at(form, probe_m, tol)
+        res = strictly_positive_at(form, probe_m)
         if not res.holds and res.state is not None:
             leak = abs(res.value)
             out.append(_result("witness_soundness", leak <= WITNESS_TOL,

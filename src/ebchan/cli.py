@@ -27,9 +27,9 @@ from .channel import (FixedPoint, HolevoForm, SpectrumComparison, apply_linear,
                       compare_nonzero_spectrum, depolarizing, fixed_point,
                       holevo_from_rank_one_kraus, map_to_diagonal,
                       qc_from_stochastic, stochastic_rep)
-from .checks import ROUTE_TOL, run_channel_checks
+from .checks import run_channel_checks
 from .errors import ConsistencyError, EbchanError, ValidationError
-from .linalg import DEFAULT_TOL, Tolerances
+from .linalg import DEFAULT_TOL, ROUTE_TOL, Tolerances
 from .primitivity import (ChannelPrimitivityReport, HolevoRankBounds,
                           channel_primitivity_index, holevo_rank_bounds)
 from .sampling import random_channel
@@ -60,18 +60,18 @@ class AnalysisReport:
     tolerances_used: Tolerances
 
 
-def analyze_form(form: HolevoForm, tol: Tolerances = DEFAULT_TOL) -> AnalysisReport:
-    s = stochastic_rep(form, tol)
+def analyze_form(form: HolevoForm) -> AnalysisReport:
+    s = stochastic_rep(form)
     return AnalysisReport(
         n=form.n,
         r=form.r,
         stochastic_matrix=s,
         column_sum_residual=float(np.max(np.abs(s.sum(axis=0) - 1.0))),
-        spectrum_comparison=compare_nonzero_spectrum(form, tol),
-        primitivity=channel_primitivity_index(form, tol),
-        fixed_point=fixed_point(form, tol),
-        holevo_rank_bounds=holevo_rank_bounds(form, tol),
-        tolerances_used=tol)
+        spectrum_comparison=compare_nonzero_spectrum(form),
+        primitivity=channel_primitivity_index(form),
+        fixed_point=fixed_point(form),
+        holevo_rank_bounds=holevo_rank_bounds(form),
+        tolerances_used=form.tol)
 
 
 def report_inconsistencies(report: AnalysisReport) -> list:
@@ -248,7 +248,7 @@ def cmd_analyze(args) -> int:
     doc = _loads(_read_text(args.file), "channel document")
     form = document_to_form(doc, tol)  # validates 'metadata' as UTF-8 strings to strings
     name = (doc.get("metadata") or {}).get("name")
-    report = analyze_form(form, tol)
+    report = analyze_form(form)
     if args.format == "machine":
         sys.stdout.write(render_machine(report, name))
     else:
@@ -259,14 +259,13 @@ def cmd_analyze(args) -> int:
 def cmd_iterate(args) -> int:
     if args.steps < 1:
         return _usage_error(f"--steps must be >= 1, got {args.steps}")
-    tol = DEFAULT_TOL
-    form = parse_channel_document(_read_text(args.file), tol)
-    rho = parse_state_file(_read_text(args.state), tol)
+    form = parse_channel_document(_read_text(args.file))
+    rho = parse_state_file(_read_text(args.state))
     if rho.shape != (form.n, form.n):
         return _usage_error(f"state dimension {rho.shape[0]} does not match "
                             f"channel dimension {form.n}")
-    s = stochastic_rep(form, tol)
-    fp = fixed_point(form, tol)
+    s = stochastic_rep(form)
+    fp = fixed_point(form)
     c = np.array([np.trace(f @ rho).real for f in form.effects])
     worst_track = 0.0
     for t in range(args.steps + 1):
@@ -290,11 +289,11 @@ def cmd_iterate(args) -> int:
     return 0
 
 
-def _verify_one(label: str, form: HolevoForm, tol: Tolerances, rng, failures: list,
+def _verify_one(label: str, form: HolevoForm, rng, failures: list,
                 caught=EbchanError) -> None:
     """Check one channel; an error of class ``caught`` it raises is that channel's failure only."""
     try:
-        results = run_channel_checks(form, tol, rng)
+        results = run_channel_checks(form, rng)
     except caught as exc:
         print(f"{label} (n = {form.n}, r = {form.r}): FAILED exception ({exc})")
         failures.append({"channel": label, "check": "exception",
@@ -310,13 +309,12 @@ def _verify_one(label: str, form: HolevoForm, tol: Tolerances, rng, failures: li
 def cmd_verify(args) -> int:
     if args.file is not None and args.random is not None:
         return _usage_error("verify takes a channel file or --random N, not both")
-    tol = DEFAULT_TOL
     rng = np.random.default_rng(args.seed)
     failures = []
     if args.file is not None:
-        form = parse_channel_document(_read_text(args.file), tol)
+        form = parse_channel_document(_read_text(args.file))
         # bad input exits 2, as under analyze, wherever the checks find it
-        _verify_one(args.file, form, tol, rng, failures, caught=ConsistencyError)
+        _verify_one(args.file, form, rng, failures, caught=ConsistencyError)
     else:
         count = args.random
         if count is None or count < 1:
@@ -325,13 +323,13 @@ def cmd_verify(args) -> int:
             n = int(rng.integers(2, 4))
             r = int(rng.integers(1, 6))
             try:
-                form = random_channel(rng, n, r, tol)
+                form = random_channel(rng, n, r)
             except EbchanError as exc:
                 failures.append({"channel": f"random[{i}]",
                                  "check": "channel_generation", "detail": str(exc)})
                 print(f"random[{i}] (n = {n}, r = {r}): FAILED channel_generation ({exc})")
                 continue
-            _verify_one(f"random[{i}]", form, tol, rng, failures)
+            _verify_one(f"random[{i}]", form, rng, failures)
     if failures:
         print(json.dumps({"failures": failures}, indent=2))
         return 1

@@ -5,8 +5,11 @@ Conventions used throughout the package:
 * matrices are square ``numpy`` arrays of ``complex128``, row-major;
 * ``vec`` pairs the matrix-unit basis with linear indices as
   ``(i, j) -> i * n + j``, so ``vec(M)[i * n + j] == M[i, j]``;
-* all thresholds are relative to ``max(1, lambda_max)`` so behaviour does
-  not depend on the overall scale of the input.
+* ``psd_tol`` and ``zero_eig_tol`` are relative to ``max(1, lambda_max)``, so
+  behaviour does not depend on the overall scale of the input. The others
+  are absolute: ``stochastic_tol`` is a slack on entries, sums and traces,
+  ``match_tol`` a distance between eigenvalues, and ``ROUTE_TOL`` a max-entry
+  gap between two routes to the same quantity.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ _POSITIVE = {
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical thresholds shared by every analysis routine.
+    """Numerical thresholds; a form keeps the set it was validated under.
 
     psd_tol        relative eigenvalue slack for PSD/PD and Hermiticity tests
     zero_eig_tol   modulus below which an eigenvalue counts as zero; it must
@@ -79,6 +82,9 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
+
+# bound on the max-entry gap between two routes to the same quantity
+ROUTE_TOL = 1e-10
 
 
 def as_square(m, name="matrix"):

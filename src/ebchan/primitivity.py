@@ -49,7 +49,7 @@ import numpy as np
 
 from .channel import HolevoForm, iterated_form, stochastic_rep
 from .errors import ConsistencyError, ValidationError
-from .linalg import DEFAULT_TOL, Tolerances, _rank_cut, _zero_cut, eig_hermitian, kernel_psd
+from .linalg import _rank_cut, _zero_cut, eig_hermitian, kernel_psd
 from .stochastic import _pattern, primitivity_index, wielandt_bound
 
 SUBSET_CAP = 20
@@ -60,7 +60,7 @@ def _channel_index_bound(r: int) -> int:
     return wielandt_bound(r) + 1
 
 
-def sum_R_positive_definite(form: HolevoForm, tol: Tolerances = DEFAULT_TOL) -> bool:
+def sum_R_positive_definite(form: HolevoForm) -> bool:
     """Whether the sum of the channel's output states is positive definite.
 
     When it is not, its kernel is shared by every R_k and no output of the
@@ -69,8 +69,8 @@ def sum_R_positive_definite(form: HolevoForm, tol: Tolerances = DEFAULT_TOL) -> 
     zero cut by which ``_alive_table`` decides that the same sum (its full
     mask) has no kernel.
     """
-    w, _ = eig_hermitian(form.states.sum(axis=0), tol)  # descending
-    return bool(w[-1] >= _rank_cut(w[0], tol))
+    w, _ = eig_hermitian(form.states.sum(axis=0), form.tol)  # descending
+    return bool(w[-1] >= _rank_cut(w[0], form.tol))
 
 
 @dataclass(frozen=True)
@@ -203,8 +203,7 @@ def _kernel_vector(stack, indices, tol):
     return kernel_psd(stack[list(indices)].sum(axis=0), tol)[:, 0]
 
 
-def strictly_positive_at(form: HolevoForm, m: int,
-                         tol: Tolerances = DEFAULT_TOL) -> StrictPositivityResult:
+def strictly_positive_at(form: HolevoForm, m: int) -> StrictPositivityResult:
     """Decide whether channel^m sends every density matrix to a PD matrix.
 
     channel^m(psi psi*) fails to be PD exactly when some direction phi and
@@ -220,7 +219,7 @@ def strictly_positive_at(form: HolevoForm, m: int,
     """
     if form.r > SUBSET_CAP:
         raise ValidationError(f"r = {form.r} exceeds the exact-enumeration cap {SUBSET_CAP}")
-    states, effects_m = form.states, iterated_form(form, m, tol).effects
+    tol, states, effects_m = form.tol, form.states, iterated_form(form, m).effects
     candidates = np.flatnonzero(_alive_table(effects_m, tol)[::-1])  # index T reads full ^ T
     hits = candidates[_alive_table(states, tol, candidates)[candidates]]
     if not hits.size:
@@ -265,8 +264,7 @@ class ChannelPrimitivityReport:
     q_window: tuple | None
 
 
-def channel_primitivity_index(form: HolevoForm,
-                              tol: Tolerances = DEFAULT_TOL) -> ChannelPrimitivityReport:
+def channel_primitivity_index(form: HolevoForm) -> ChannelPrimitivityReport:
     """Exact channel primitivity index from S's zero pattern and the original effects.
 
     The search runs over the guaranteed window [max(1, p-1), p+1], and from
@@ -280,9 +278,9 @@ def channel_primitivity_index(form: HolevoForm,
     the search re-tests at q + 1 whenever that lies inside the window and
     refuses to return an answer contradicting monotonicity.
     """
-    s = stochastic_rep(form, tol)
+    tol, s = form.tol, stochastic_rep(form)
     verdict = primitivity_index(s, tol)
-    sum_r_pd = sum_R_positive_definite(form, tol)
+    sum_r_pd = sum_R_positive_definite(form)
     p = verdict.index
     channel_primitive = verdict.primitive and sum_r_pd
 
@@ -343,7 +341,7 @@ class HolevoRankBounds:
     q_upper_from_rank: int
 
 
-def holevo_rank_bounds(form: HolevoForm, tol: Tolerances = DEFAULT_TOL) -> HolevoRankBounds:
+def holevo_rank_bounds(form: HolevoForm) -> HolevoRankBounds:
     """Rank of the natural rep K, and the pair-count bounds built on it.
 
     The rank is counted from the singular values of the k x n^2 matrix
@@ -357,12 +355,12 @@ def holevo_rank_bounds(form: HolevoForm, tol: Tolerances = DEFAULT_TOL) -> Holev
     """
     _, qh_rep = form._action_range
     sigma = np.linalg.svd(qh_rep, compute_uv=False)
-    lower = int(np.count_nonzero(sigma > _rank_cut(sigma[0], tol)))
+    lower = int(np.count_nonzero(sigma > _rank_cut(sigma[0], form.tol)))
     return HolevoRankBounds(lower=lower, upper=form.r,
                             q_upper_from_rank=_channel_index_bound(form.r))
 
 
-def sweep_positive_iterate(form: HolevoForm, tol: Tolerances = DEFAULT_TOL):
+def sweep_positive_iterate(form: HolevoForm):
     """Definition-level primitivity oracle: scan m = 1 .. r^2 - 2r + 3.
 
     Returns (primitive, least m) by testing strict positivity directly at
@@ -374,6 +372,6 @@ def sweep_positive_iterate(form: HolevoForm, tol: Tolerances = DEFAULT_TOL):
     use.
     """
     for m in range(1, _channel_index_bound(form.r) + 1):
-        if strictly_positive_at(form, m, tol).holds:
+        if strictly_positive_at(form, m).holds:
             return True, m
     return False, None

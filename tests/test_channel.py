@@ -10,6 +10,7 @@ from ebchan.channel import (_pair_distance, apply_linear, choi, choi_pair_sum,
                             make_holevo_form, map_to_diagonal, natural_rep,
                             qc_from_stochastic, stochastic_rep)
 from ebchan.errors import ValidationError
+from ebchan.primitivity import channel_primitivity_index
 from ebchan.linalg import DEFAULT_TOL, Tolerances, vec
 from ebchan.sampling import random_density, random_holevo_form
 
@@ -311,15 +312,28 @@ def test_stochastic_rep_examples():
     np.testing.assert_allclose(stochastic_rep(map_to_diagonal(4)), np.eye(4), atol=1e-12)
 
 
-def test_stochastic_rep_is_cached_per_tolerances():
+def test_stochastic_rep_is_cached_per_form():
     form = random_holevo_form(np.random.default_rng(36), 3, 4)
     first = stochastic_rep(form)
-    assert stochastic_rep(form, DEFAULT_TOL) is first
+    assert form.tol is DEFAULT_TOL and stochastic_rep(form) is first
     assert not first.flags.writeable
+    # the same pairs validated under other tolerances are another form, with its own S
     loose = Tolerances(stochastic_tol=1e-8)
-    other = stochastic_rep(form, loose)
-    assert other is not first and stochastic_rep(form, loose) is other
+    again = make_holevo_form(3, zip(form.effects, form.states), loose)
+    other = stochastic_rep(again)
+    assert again.tol is loose and other is not first and stochastic_rep(again) is other
     assert np.array_equal(other, first)
+
+
+def test_analyses_read_the_forms_own_stochastic_tol():
+    # column 1 of S sums to 1 + 5e-10: inside the form's stochastic_tol, outside
+    # the default one, so S must be validated under the form's
+    loose = Tolerances(stochastic_tol=1e-8)
+    effects = [np.diag([0.5, 0.5 + 5e-10]), np.diag([0.5, 0.5])]
+    form = make_holevo_form(2, zip(effects, [E00, E11]), loose)
+    np.testing.assert_array_equal(stochastic_rep(form), [[0.5, 0.5 + 5e-10], [0.5, 0.5]])
+    report = channel_primitivity_index(form)
+    assert (report.p_index, report.q_index) == (1, 1)
 
 
 # --- iteration and fixed points ---

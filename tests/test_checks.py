@@ -1,17 +1,22 @@
+import inspect
+
 import numpy as np
 import pytest
 
-from ebchan import channel, checks, primitivity, stochastic
-from ebchan.channel import (depolarizing, fixed_point, make_holevo_form, map_to_diagonal,
-                            stochastic_rep)
+import ebchan
+from ebchan import channel, checks, cli, primitivity, stochastic
+from ebchan.channel import (HolevoForm, depolarizing, fixed_point, iterated_form,
+                            make_holevo_form, map_to_diagonal, stochastic_rep)
 from ebchan.checks import run_channel_checks
 from ebchan.linalg import DEFAULT_TOL, Tolerances
+from ebchan.primitivity import channel_primitivity_index
 from ebchan.sampling import random_channel
 
 E00 = np.diag([1.0, 0.0]).astype(complex)
 E11 = np.diag([0.0, 1.0]).astype(complex)
 PLUS = np.full((2, 2), 0.5, dtype=complex)
 MINUS = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
+IDENT = np.eye(2, dtype=complex)
 
 
 def names(results) -> set:
@@ -156,18 +161,48 @@ def test_fixed_point_reads_the_validated_stochastic_matrix(monkeypatch):
         assert calls == []
 
 
-def test_stochastic_matrix_is_computed_once_per_form_and_tolerances(monkeypatch):
+def test_stochastic_matrix_is_computed_once_per_form(monkeypatch):
     calls = count_calls(monkeypatch, channel, "_induced_stochastic")
     rng = np.random.default_rng(64)
     for tol in (DEFAULT_TOL, Tolerances(psd_tol=1e-10)):
-        for form in (random_channel(rng, 2, 3), random_channel(rng, 3, 2),
-                     make_holevo_form(2, [(PLUS, E00), (MINUS, E11)])):
+        for form in (random_channel(rng, 2, 3, tol), random_channel(rng, 3, 2, tol),
+                     make_holevo_form(2, [(PLUS, E00), (MINUS, E11)], tol)):
             del calls[:]
-            assert all(res.ok for res in run_channel_checks(form, tol, rng))
-            keys = [(id(f), t) for f, t in calls]  # calls holds every form, so ids stay unique
-            assert len(keys) == len(set(keys))
-            assert keys.count((id(form), tol)) == 1
-            assert all(t == tol for _, t in calls)
+            assert all(res.ok for res in run_channel_checks(form, rng))
+            ids = [id(f) for f, in calls]  # calls holds every form, so ids stay unique
+            assert len(ids) == len(set(ids)) and ids.count(id(form)) == 1
+            assert all(f.tol is tol for f, in calls)
+
+
+def test_checks_read_the_forms_own_psd_tol():
+    # lambda_min(R[0]) = -1e-7 passes the form's psd_tol of 1e-6 but not the
+    # default 1e-9, so the subset kernel test must cut by the form's
+    loose = Tolerances(psd_tol=1e-6)
+    form = make_holevo_form(2, [(IDENT / 2, np.diag([1 + 1e-7, -1e-7])), (IDENT / 2, E11)],
+                            loose)
+    report = channel_primitivity_index(form)
+    assert (report.p_index, report.q_index) == (1, 1)
+    assert all(res.ok for res in run_channel_checks(form))
+
+
+def test_no_analysis_of_a_form_takes_tolerances():
+    # a form carries the tolerances it was validated under, and nothing else
+    # may hand an analysis a second set
+    functions = [obj for module in (ebchan, cli) for obj in vars(module).values()
+                 if inspect.isfunction(obj)]
+    on_forms = []
+    for fn in functions:
+        params = list(inspect.signature(fn).parameters.values())
+        if params and params[0].annotation in (HolevoForm, "HolevoForm"):
+            on_forms.append(fn.__name__)
+            assert "tol" not in [p.name for p in params], fn.__name__
+    assert {"stochastic_rep", "iterated_form", "run_channel_checks",
+            "analyze_form", "sweep_positive_iterate"} <= set(on_forms)
+    loose = Tolerances(psd_tol=1e-6)
+    form = make_holevo_form(2, [(PLUS, E00), (MINUS, E11)], loose)
+    assert form.tol is loose
+    for m in (1, 2, 3):
+        assert iterated_form(form, m).tol is form.tol
 
 
 def test_stochastic_verdict_is_computed_once_per_check_run(monkeypatch):

@@ -327,11 +327,11 @@ def test_verify_random_reports_a_channel_raising_validation_error_and_goes_on(ca
                                                                              monkeypatch):
     seen = []
 
-    def raise_on_first(form, tol, rng):
+    def raise_on_first(form, rng):
         seen.append(form)
         if len(seen) == 1:
             raise ValidationError("induced matrix is not column-stochastic")
-        return run_channel_checks(form, tol, rng)
+        return run_channel_checks(form, rng)
 
     monkeypatch.setattr("ebchan.cli.run_channel_checks", raise_on_first)
     assert main(["verify", "--random", "3", "--seed", "0"]) == 1
@@ -471,11 +471,11 @@ def test_analyze_rejects_match_tol_of_zero(depolarizing_file, capsys):
 def test_verify_random_reports_a_raising_channel_and_goes_on(capsys, monkeypatch):
     seen = []
 
-    def raise_on_second(form, tol, rng):
+    def raise_on_second(form, rng):
         seen.append(form)
         if len(seen) == 2:
             raise ConsistencyError("positivity holds at m = 2 but not at m = 3")
-        return run_channel_checks(form, tol, rng)
+        return run_channel_checks(form, rng)
 
     monkeypatch.setattr("ebchan.cli.run_channel_checks", raise_on_second)
     assert main(["verify", "--random", "4", "--seed", "0"]) == 1

@@ -611,12 +611,12 @@ def test_sweep_reaches_the_wielandt_index_on_wielandt_qc_forms(r):
     assert strictly_positive_at(form, q - 1).subset == tuple(range(1, r))
 
 
-def _loop_split_scan(form, m, tol=DEFAULT_TOL):
+def _loop_split_scan(form, m):
     """Reference split scan: hand-added subset sums and a Python loop over masks."""
-    n, r = form.n, form.r
+    n, r, tol = form.n, form.r, form.tol
     full = (1 << r) - 1
     states = list(form.states)
-    effects_m = list(iterated_form(form, m, tol).effects)
+    effects_m = list(iterated_form(form, m).effects)
 
     def subset_sum(mats, indices):
         h = np.zeros((n, n), dtype=np.complex128)
