@@ -282,7 +282,7 @@ def _induced_stochastic(form: HolevoForm):
 def iterated_form(form: HolevoForm, m: int) -> HolevoForm:
     """Holevo form of the m-th iterate: effects sum_j (S^{m-1})_{kj} F_j, states unchanged.
 
-    Powers of S are taken by repeated multiplication. The derived effects
+    S^{m-1} is taken with ``np.linalg.matrix_power``. The derived effects
     are PSD and sum to the identity, but individual ones may vanish when
     S^{m-1} has a zero row, so this constructor bypasses the zero-effect
     check that applies to externally supplied forms. It stores the Hermitian
@@ -292,10 +292,7 @@ def iterated_form(form: HolevoForm, m: int) -> HolevoForm:
         raise ValidationError(f"iteration count must be >= 1, got {m}")
     if m == 1:
         return form
-    s = stochastic_rep(form)
-    power = np.eye(form.r)
-    for _ in range(m - 1):
-        power = s @ power
+    power = np.linalg.matrix_power(stochastic_rep(form), m - 1)
     effects = np.einsum("kj,jab->kab", power, form.effects)
     return HolevoForm(form.n, _hermitian_stack(effects), form.states, form.tol)
 

@@ -20,11 +20,10 @@ from .linalg import ROUTE_TOL, vec
 from .primitivity import (SUBSET_CAP, _channel_index_bound, channel_primitivity_index,
                           strictly_positive_at, sweep_positive_iterate)
 
-WITNESS_TOL = 1e-8
 CONVERGENCE_TOL = 1e-6
 
-# 2**SWEEP_CAP subset kernels per iterate is the practical limit for the
-# definition-level oracle; beyond it only the structural route is checked.
+# 2**SWEEP_CAP subset kernels per iterate limit the definition-level sweep.
+# Beyond it no check asserts positivity, which decayed iterated weights hide.
 SWEEP_CAP = 12
 
 
@@ -52,7 +51,9 @@ def run_channel_checks(form: HolevoForm, rng=None) -> list:
     (2, 2, n, n) block, and composes them as a stack: three channel actions
     for the chains and one per iterated form. With the natural rep applied
     in stacks of 64 matrix units, a run on a form whose range is cached
-    makes 8 ``apply_linear`` calls for n <= 8.
+    makes 8 ``apply_linear`` calls for n <= 8, and m more to grade the
+    witness that m = q - 1 (or r^2 - 2r + 3, if not primitive) is not
+    positive yet.
 
     Each result is computed once: ``fixed_point_convergence`` takes
     |lambda_2| from the S eigenvalues of the spectrum check (those with
@@ -144,7 +145,7 @@ def run_channel_checks(form: HolevoForm, rng=None) -> list:
                            f"(|lambda_2| = {lam2:.4f})"))
 
     structural = report.channel_primitive
-    if r <= min(SUBSET_CAP, SWEEP_CAP):
+    if r <= SWEEP_CAP:
         swept, swept_index = sweep_positive_iterate(form)
         agree = (structural == swept) and (report.q_index == swept_index)
         out.append(_result("primitivity_two_routes", agree,
@@ -153,19 +154,26 @@ def run_channel_checks(form: HolevoForm, rng=None) -> list:
     if report.q_index is not None and report.p_index is not None:
         out.append(_result("index_gap", report.bound_abs_diff_ok,
                            f"|q - p| = |{report.q_index} - {report.p_index}|"))
-        out.append(_result("index_bound", report.holevo_rank_bound_ok,
-                           f"q = {report.q_index} vs r^2 - 2r + 3 = {_channel_index_bound(r)}"))
 
-    # the least m without positivity: q - 1, or 1 for a channel that is not
-    # primitive; with q = 1 there is none to probe
-    probe_m = 1 if report.q_index is None else report.q_index - 1
+    # the last m without positivity: q - 1, or the index bound r^2 - 2r + 3
+    # for a channel that is not primitive; with q = 1 there is none to probe
+    probe_m = _channel_index_bound(r) if report.q_index is None else report.q_index - 1
     if r <= SUBSET_CAP and probe_m >= 1:
         res = strictly_positive_at(form, probe_m)
-        if not res.holds and res.state is not None:
-            leak = abs(res.value)
-            out.append(_result("witness_soundness", leak <= WITNESS_TOL,
-                               f"claimed-zero matrix element = {leak:.3e} at m = {res.m}"))
-        elif not res.holds:
+        if res.holds:
             out.append(_result("witness_soundness", False,
-                               f"negative verdict at m = {res.m} carries no witness"))
+                               f"positivity already holds at m = {probe_m}"))
+        else:
+            image = np.outer(res.state, res.state.conj())
+            for _ in range(probe_m):
+                image = apply_linear(form, image)
+            leak = abs(res.direction.conj() @ image @ res.direction)
+            # the kernel cuts leave <phi|R_T|phi> below zero_eig_tol * max(1,
+            # lambda_max(R_T)) and psi's value on the other iterated effects,
+            # which sum to at most I, below zero_eig_tol; each other factor
+            # of a term is at most 1
+            states_max = np.linalg.eigvalsh(form.states[list(res.subset)].sum(axis=0))[-1]
+            cut = form.tol.zero_eig_tol * (max(1.0, states_max) + 1.0)
+            out.append(_result("witness_soundness", leak <= cut,
+                               f"claimed-zero matrix element = {leak:.3e} at m = {probe_m}"))
     return out

@@ -85,8 +85,6 @@ def report_inconsistencies(report: AnalysisReport) -> list:
     prim = report.primitivity
     if prim.bound_abs_diff_ok is False:
         problems.append("index gap |q - p| exceeds 1")
-    if prim.holevo_rank_bound_ok is False:
-        problems.append("channel index exceeds r^2 - 2r + 3")
     return problems
 
 

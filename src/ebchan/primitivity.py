@@ -81,8 +81,8 @@ class StrictPositivityResult:
     is a unit vector psi and ``direction`` a unit vector phi with
     <phi| channel^m(psi psi*) |phi> ~ 0, and ``subset`` lists the pair
     indices whose states annihilate phi (the remaining iterated effects
-    annihilate psi). ``value`` is that quadratic form re-evaluated through
-    the iterated pair sum.
+    annihilate psi). ``run_channel_checks`` grades the witness through the
+    channel action.
     """
 
     holds: bool
@@ -90,7 +90,6 @@ class StrictPositivityResult:
     subset: tuple | None = None
     state: np.ndarray | None = None
     direction: np.ndarray | None = None
-    value: float | None = None
 
 
 def _extremes(sums):
@@ -229,10 +228,7 @@ def strictly_positive_at(form: HolevoForm, m: int) -> StrictPositivityResult:
     complement = tuple(k for k in range(form.r) if not t_mask >> k & 1)
     phi = _kernel_vector(states, subset, tol)
     psi = _kernel_vector(effects_m, complement, tol)
-    value = float(sum((psi.conj() @ g @ psi).real * (phi.conj() @ r @ phi).real
-                      for g, r in zip(effects_m, states)))
-    return StrictPositivityResult(holds=False, m=m, subset=subset,
-                                  state=psi, direction=phi, value=value)
+    return StrictPositivityResult(holds=False, m=m, subset=subset, state=psi, direction=phi)
 
 
 @dataclass(frozen=True)
@@ -250,7 +246,8 @@ class ChannelPrimitivityReport:
     reported. The upper side is not a field: no positive iterate up to
     p + 1 raises ConsistencyError. ``holevo_rank_bound_ok``
     (q <= r^2 - 2r + 3) observes nothing the search does not fix: q is at
-    most p + 1, and ``primitivity_index`` returns p <= r^2 - 2r + 2.
+    most p + 1, and ``primitivity_index`` returns p <= r^2 - 2r + 2; it is
+    output only.
     """
 
     s_primitive: bool

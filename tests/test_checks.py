@@ -1,4 +1,5 @@
 import inspect
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,11 +7,12 @@ import pytest
 import ebchan
 from ebchan import channel, checks, cli, primitivity, stochastic
 from ebchan.channel import (HolevoForm, depolarizing, fixed_point, iterated_form,
-                            make_holevo_form, map_to_diagonal, stochastic_rep)
+                            make_holevo_form, map_to_diagonal, qc_from_stochastic,
+                            stochastic_rep)
 from ebchan.checks import run_channel_checks
 from ebchan.linalg import DEFAULT_TOL, Tolerances
 from ebchan.primitivity import channel_primitivity_index
-from ebchan.sampling import random_channel
+from ebchan.sampling import random_channel, random_holevo_form, random_qc_form, wielandt_matrix
 
 E00 = np.diag([1.0, 0.0]).astype(complex)
 E11 = np.diag([0.0, 1.0]).astype(complex)
@@ -30,8 +32,9 @@ def test_full_suite_on_flip_example():
     got = names(results)
     assert {"povm_closure", "linear_extension", "choi_two_routes", "factorization",
             "iterated_form", "nonzero_spectrum", "fixed_point_residual",
-            "fixed_point_convergence", "primitivity_two_routes", "index_gap",
-            "index_bound"} <= got
+            "fixed_point_convergence", "primitivity_two_routes", "index_gap"} <= got
+    # q <= p + 1 <= r^2 - 2r + 3 whenever q exists, so no check restates that bound
+    assert "index_bound" not in got
     # q = 2, so the probe runs at m = 1, where positivity fails with a witness
     assert "witness_soundness" in got
 
@@ -73,6 +76,68 @@ def test_details_carry_numbers():
 
     diag = {res.name: res for res in run_channel_checks(map_to_diagonal(2))}
     assert "claimed-zero matrix element" in diag["witness_soundness"].detail
+
+
+@pytest.mark.parametrize("delta, leak", [(5e-7, 0.0), (2e-7, 6e-7)])
+def test_witness_is_graded_under_the_forms_zero_eig_tol(delta, leak):
+    # S = [[1 - delta, 0], [delta, 1]] keeps |1> fixed, so the channel is not
+    # primitive and the probe runs at r^2 - 2r + 3 = 3. There the iterated
+    # effect diag(3 delta, 1) has a kernel under zero_eig_tol = 1e-6 for
+    # delta = 2e-7, and its witness leaves a matrix element of 6e-7, inside
+    # the form's cut; with delta = 5e-7 the witness is the exact one
+    tol = Tolerances(zero_eig_tol=1e-6)
+    form = make_holevo_form(2, [(np.diag([1 - delta, 0.0]), E00), (np.diag([delta, 1.0]), E11)],
+                            tol)
+    by_name = {res.name: res for res in run_channel_checks(form)}
+    assert all(res.ok for res in by_name.values()), by_name
+    assert by_name["witness_soundness"].detail == (
+        f"claimed-zero matrix element = {leak:.3e} at m = 3")
+
+
+def sparse_qc_form_on_thirteen_pairs():
+    """Above SWEEP_CAP, within SUBSET_CAP: p = q = 3."""
+    return random_qc_form(np.random.default_rng(3), 13, zero_fraction=0.6)
+
+
+def test_true_report_passes_above_the_sweep_cap():
+    form = sparse_qc_form_on_thirteen_pairs()
+    by_name = {res.name: res for res in run_channel_checks(form)}
+    assert all(res.ok for res in by_name.values()), by_name
+    assert "primitivity_two_routes" not in by_name
+    assert by_name["witness_soundness"].detail.endswith(" at m = 2")
+
+
+@pytest.mark.parametrize("claim, detail", [
+    (dict(q_index=4), "positivity already holds at m = 3"),
+    (dict(channel_primitive=False, q_index=None), "positivity already holds at m = 146"),
+], ids=["q+1", "not-primitive"])
+def test_wrong_reports_fail_above_the_sweep_cap(monkeypatch, claim, detail):
+    # a q one too small would need positivity asserted at q, which the
+    # checks leave to the sweep (see the decayed forms below)
+    form = sparse_qc_form_on_thirteen_pairs()
+    report = replace(channel_primitivity_index(form), **claim)
+    monkeypatch.setattr(checks, "channel_primitivity_index", lambda form: report)
+    bad = [(res.name, res.detail) for res in run_channel_checks(form) if not res.ok]
+    assert bad == [("witness_soundness", detail)]
+
+
+@pytest.mark.parametrize("r, eps", [(13, 1e-2), (14, 0.1)])
+def test_decayed_wielandt_forms_pass_above_the_sweep_cap(r, eps):
+    # chord weights (eps, 1 - eps): S^(q-1) has entries far below the kernel
+    # cut, so a kernel test on the iterated effects finds no positive m = q
+    # on these primitive channels, and above SWEEP_CAP no check asks it
+    s = np.array(wielandt_matrix(r))
+    s[0, r - 1], s[1, r - 1] = eps, 1.0 - eps
+    results = run_channel_checks(qc_from_stochastic(s))
+    assert all(res.ok for res in results), [res for res in results if not res.ok]
+
+
+def test_bounds_only_forms_run_no_sweep_and_no_probe():
+    form = random_holevo_form(np.random.default_rng(0), 2, 21)
+    assert channel_primitivity_index(form).q_method == "bounds-only"
+    results = run_channel_checks(form)
+    assert all(res.ok for res in results)
+    assert not names(results) & {"primitivity_two_routes", "index_gap", "witness_soundness"}
 
 
 def test_linear_extension_probes_are_the_sequential_draws(monkeypatch):
@@ -136,18 +201,21 @@ def count_calls(monkeypatch, module, name, *modules):
 def test_channel_actions_per_check_run(monkeypatch, n):
     # one stacked call for the natural rep (n^2 <= 64), one for the
     # linear_extension probes, five for the two iterated-form probes (three
-    # for the stacked chains, one per iterated form), one for the fixed point;
-    # a fresh form adds n^2 for the streamed range pass
+    # for the stacked chains, one per iterated form), one for the fixed point,
+    # and m to grade the witness at the probe m = q - 1 (r^2 - 2r + 3 if not
+    # primitive); a fresh form adds n^2 for the streamed range pass
     calls = count_calls(monkeypatch, channel, "apply_linear", checks)
     rng = np.random.default_rng(63 + n)
     for r in (1, 2, 4):
         form = random_channel(rng, n, r)
+        q = channel_primitivity_index(form).q_index
+        witness = r * r - 2 * r + 3 if q is None else q - 1
         del calls[:]
         assert all(res.ok for res in run_channel_checks(form, rng=rng))
-        assert len(calls) <= n * n + 8
+        assert len(calls) <= n * n + 8 + witness
         del calls[:]
         assert all(res.ok for res in run_channel_checks(form, rng=rng))  # range now cached
-        assert len(calls) <= 8
+        assert len(calls) <= 8 + witness
 
 
 def test_fixed_point_reads_the_validated_stochastic_matrix(monkeypatch):

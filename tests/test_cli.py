@@ -11,12 +11,13 @@ import pytest
 
 import ebchan
 from ebchan import primitivity
-from ebchan.channel import (depolarizing, make_holevo_form, map_to_diagonal,
-                            qc_from_stochastic, stochastic_rep)
+from ebchan.channel import (compare_nonzero_spectrum, depolarizing, fixed_point,
+                            make_holevo_form, map_to_diagonal, qc_from_stochastic,
+                            stochastic_rep)
 from ebchan.checks import run_channel_checks
 from ebchan.cli import main
 from ebchan.errors import ConsistencyError, ValidationError
-from ebchan.sampling import random_holevo_form, wielandt_matrix
+from ebchan.sampling import random_holevo_form, random_qc_form, wielandt_matrix
 from ebchan.serialization import (emit_channel_document, matrix_to_literal,
                                   parse_channel_document)
 
@@ -581,6 +582,63 @@ def test_analyze_observes_the_lower_side_of_the_index_gap(tmp_path, capsys, monk
     assert "  matrix primitive: yes (p = 12)\n" in out
     assert "  channel primitive: yes (q = 10)\n" in out
     assert out.endswith("consistency: FAILED\n  - index gap |q - p| exceeds 1\n")
+
+
+def test_analyze_renders_the_bounds_only_window(tmp_path, capsys):
+    # r = 21 is above SUBSET_CAP: q is left to the window [max(1, p - 1), p + 1]
+    path = tmp_path / "wide.json"
+    path.write_text(emit_channel_document(random_holevo_form(np.random.default_rng(0), 2, 21)))
+    assert main(["analyze", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "  channel primitive: yes (q = in [1, 2] (bounds-only, r above enumeration cap))\n" in out
+    assert out.endswith("consistency: ok\n")
+    assert main(["analyze", str(path), "--format", "machine"]) == 0
+    report = machine_report(capsys)
+    prim = report["primitivity"]
+    assert (prim["q_method"], prim["q_index"], prim["q_window"]) == ("bounds-only", None, [1, 2])
+    assert report["consistent"] is True
+
+
+@pytest.mark.parametrize("name, fake, problem", [
+    ("compare_nonzero_spectrum",
+     lambda form: replace(compare_nonzero_spectrum(form), matched=False),
+     "nonzero spectra of the channel and its matrix disagree"),
+    ("fixed_point", lambda form: replace(fixed_point(form), residual=1e-9),
+     "fixed point residual 1.000e-09 exceeds 1e-10"),
+], ids=["spectrum", "fixed-point"])
+def test_analyze_exits_one_on_a_failed_cross_check(example_one_file, capsys, monkeypatch,
+                                                    name, fake, problem):
+    monkeypatch.setattr(f"ebchan.cli.{name}", fake)
+    assert main(["analyze", example_one_file]) == 1
+    assert capsys.readouterr().out.endswith(f"consistency: FAILED\n  - {problem}\n")
+    assert main(["analyze", example_one_file, "--format", "machine"]) == 1
+    assert machine_report(capsys)["consistent"] is False
+
+
+def test_iterate_exits_one_when_the_trajectories_disagree(example_one_file, tmp_path, capsys,
+                                                           monkeypatch):
+    monkeypatch.setattr("ebchan.cli.stochastic_rep", lambda form: stochastic_rep(form) + 1e-6)
+    state = tmp_path / "rho.json"
+    state.write_text(state_file_text(E00))
+    assert main(["iterate", example_one_file, "--state", str(state), "--steps", "2"]) == 1
+    assert capsys.readouterr().err == "error: state trajectory and stochastic trajectory disagree\n"
+
+
+def test_verify_file_exits_one_on_a_channel_index_one_too_large(tmp_path, capsys, monkeypatch):
+    # r = 13 is above SWEEP_CAP; q = 3, so the claimed q = 4 leaves m = 3
+    # positive where the probe needs a witness
+    form = random_qc_form(np.random.default_rng(3), 13, zero_fraction=0.6)
+    report = primitivity.channel_primitivity_index(form)
+    monkeypatch.setattr("ebchan.checks.channel_primitivity_index",
+                        lambda form: replace(report, q_index=report.q_index + 1))
+    path = tmp_path / "qc13.json"
+    path.write_text(emit_channel_document(form))
+    assert main(["verify", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith(f"{path} (n = 13, r = 13): FAILED witness_soundness\n")
+    assert json.loads(out[out.index("{"):]) == {"failures": [{
+        "channel": str(path), "check": "witness_soundness",
+        "detail": "positivity already holds at m = 3"}]}
 
 
 def test_analyze_rejects_nan_entry(tmp_path, capsys):

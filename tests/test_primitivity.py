@@ -72,7 +72,10 @@ def test_false_verdict_carries_sound_witness():
         out = apply_linear(form, out)
     leak = float(np.real(phi.conj() @ out @ phi))
     assert abs(leak) <= 1e-8
-    assert abs(res.value) <= 1e-8
+    # the states over the subset annihilate phi, the other effects psi
+    for k in range(form.r):
+        vector, mat = (phi, form.states[k]) if k in res.subset else (psi, form.effects[k])
+        assert abs(vector.conj() @ mat @ vector) <= 1e-12
 
 
 def test_true_verdict_positive_on_random_pure_states():
@@ -647,10 +650,8 @@ def _loop_split_scan(form, m):
             complement = tuple(k for k in range(r) if not t_mask >> k & 1)
             phi = kernel_vector(states, subset)
             psi = kernel_vector(effects_m, complement)
-            value = float(sum((psi.conj() @ g @ psi).real * (phi.conj() @ rr @ phi).real
-                              for g, rr in zip(effects_m, states)))
-            return False, subset, psi, phi, value
-    return True, None, None, None, None
+            return False, subset, psi, phi
+    return True, None, None, None
 
 
 def _split_scan_forms(rng):
@@ -679,14 +680,13 @@ def test_split_scan_matches_the_mask_loop():
     negative = 0
     for form in forms:
         for m in (1, 2, 3):
-            holds, subset, state, direction, value = _loop_split_scan(form, m)
+            holds, subset, state, direction = _loop_split_scan(form, m)
             got = strictly_positive_at(form, m)
             assert got.holds == holds and got.m == m and got.subset == subset
             if holds:
-                assert got.state is got.direction is got.value is None
+                assert got.state is got.direction is None
                 continue
             negative += 1
             assert np.array_equal(got.state, state)
             assert np.array_equal(got.direction, direction)
-            assert got.value == value
     assert negative >= 200
