@@ -16,7 +16,7 @@ import numpy as np
 from .channel import (HolevoForm, _choi_from_rep, apply_linear, choi_pair_sum,
                       compare_nonzero_spectrum, factorization, fixed_point,
                       iterated_form, natural_rep, stochastic_rep)
-from .linalg import ROUTE_TOL, vec
+from .linalg import ROUTE_TOL, _stationary_tol, vec
 from .primitivity import (SUBSET_CAP, _channel_index_bound, channel_primitivity_index,
                           strictly_positive_at, sweep_positive_iterate)
 
@@ -55,11 +55,11 @@ def run_channel_checks(form: HolevoForm, rng=None) -> list:
     witness that m = q - 1 (or r^2 - 2r + 3, if not primitive) is not
     positive yet.
 
-    Each result is computed once: ``fixed_point_convergence`` takes
-    |lambda_2| from the S eigenvalues of the spectrum check (those with
-    modulus below ``zero_eig_tol`` count as 0), and whether S is primitive
-    and its index p from the one ``channel_primitivity_index`` report that
-    the primitivity checks read too.
+    ``fixed_point_convergence`` squares the compression C = (Q* K) Q whose
+    eigenvalues the spectrum check takes: it asks whether the iterates of one
+    input state are within ``CONVERGENCE_TOL`` of the fixed point at m = 1,
+    2, 4, ... up to 2^32 steps. Whether S is primitive comes from the one
+    ``channel_primitivity_index`` report that the primitivity checks read too.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -115,34 +115,26 @@ def run_channel_checks(form: HolevoForm, rng=None) -> list:
                        f"max pair distance = {spec.max_pair_distance:.3e}"))
 
     fp = fixed_point(form)
-    out.append(_result("fixed_point_residual", fp.residual <= ROUTE_TOL,
+    out.append(_result("fixed_point_residual", fp.residual <= _stationary_tol(form.tol),
                        f"|apply(rho*) - rho*| = {fp.residual:.3e}"))
     report = channel_primitivity_index(form)
     if report.s_primitive:
-        # primitive channels forget their input; the spectral gap of S sets
-        # the pace (nonzero spectra of S and the channel action agree), so
-        # budget iterations from the second-largest eigenvalue modulus
-        moduli = np.sort(np.abs(spec.matrix_nonzero))[::-1]
-        lam2 = float(moduli[1]) if moduli.size > 1 else 0.0
-        rho = np.eye(n, dtype=np.complex128)
-        rho[0, 0] += 1.0
-        rho /= np.trace(rho).real
-        dist = float(np.max(np.abs(rho - fp.rho)))
-        cap = 10 * report.p_index + 200
-        if 0.0 < lam2 < 1.0:
-            needed = np.log(1e-3 * CONVERGENCE_TOL / max(dist, 1e-15)) / np.log(lam2)
-            cap = max(cap, int(needed) + 1)
-        cap = min(cap, 200_000)
-        v = vec(rho)
+        # primitive channels forget their input. K^m vec(rho) = Q P h with
+        # P = C^(m-1), C = Q* K Q and h = Q* K vec(rho); P <- P C P doubles m.
+        # Round-off in P grows about as m * eps, so doubling stops before that
+        # reaches CONVERGENCE_TOL (m = 2^32), where the distance says no more
+        q, qh_rep = form._action_range
+        c = qh_rep @ q
+        h = qh_rep @ vec(np.diag([2.0] + [1.0] * (n - 1)) / (n + 1))  # rho = diag(2, 1, ...) / tr
         target = vec(fp.rho)
-        steps = 0
-        while dist > CONVERGENCE_TOL and steps < cap:
-            v = rep @ v
-            dist = float(np.max(np.abs(v - target)))
-            steps += 1
+        power, m = np.eye(len(c)), 1
+        dist = float(np.max(np.abs(q @ h - target)))
+        while dist > CONVERGENCE_TOL and 2 * m * np.finfo(np.float64).eps < CONVERGENCE_TOL:
+            power = power @ c @ power
+            m *= 2
+            dist = float(np.max(np.abs(q @ (power @ h) - target)))
         out.append(_result("fixed_point_convergence", dist <= CONVERGENCE_TOL,
-                           f"distance {dist:.3e} after {steps} iterations "
-                           f"(|lambda_2| = {lam2:.4f})"))
+                           f"distance {dist:.3e} after {m} iterations"))
 
     structural = report.channel_primitive
     if r <= SWEEP_CAP:

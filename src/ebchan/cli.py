@@ -29,7 +29,7 @@ from .channel import (FixedPoint, HolevoForm, SpectrumComparison, apply_linear,
                       qc_from_stochastic, stochastic_rep)
 from .checks import run_channel_checks
 from .errors import ConsistencyError, EbchanError, ValidationError
-from .linalg import DEFAULT_TOL, ROUTE_TOL, Tolerances
+from .linalg import DEFAULT_TOL, ROUTE_TOL, Tolerances, _stationary_tol
 from .primitivity import (ChannelPrimitivityReport, HolevoRankBounds,
                           channel_primitivity_index, holevo_rank_bounds)
 from .sampling import random_channel
@@ -79,9 +79,10 @@ def report_inconsistencies(report: AnalysisReport) -> list:
     problems = []
     if not report.spectrum_comparison.matched:
         problems.append("nonzero spectra of the channel and its matrix disagree")
-    if report.fixed_point.residual > ROUTE_TOL:
+    bound = _stationary_tol(report.tolerances_used)
+    if report.fixed_point.residual > bound:
         problems.append(f"fixed point residual {report.fixed_point.residual:.3e} "
-                        f"exceeds {ROUTE_TOL:.0e}")
+                        f"exceeds {bound:.0e}")
     prim = report.primitivity
     if prim.bound_abs_diff_ok is False:
         problems.append("index gap |q - p| exceeds 1")

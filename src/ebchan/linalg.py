@@ -87,6 +87,11 @@ DEFAULT_TOL = Tolerances()
 ROUTE_TOL = 1e-10
 
 
+def _stationary_tol(tol: Tolerances) -> float:
+    """Bound on a fixed point's residual: S's columns may miss 1 by ``stochastic_tol``."""
+    return max(ROUTE_TOL, tol.stochastic_tol)
+
+
 def as_square(m, name="matrix"):
     """Coerce to a finite, nonempty, square complex array (copy, read-only)."""
     arr = np.array(m, dtype=np.complex128, order="C")

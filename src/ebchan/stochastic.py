@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, ValidationError
-from .linalg import DEFAULT_TOL, ROUTE_TOL, Tolerances, _rank_cut
+from .linalg import DEFAULT_TOL, Tolerances, _rank_cut, _stationary_tol
 
 
 @dataclass(frozen=True)
@@ -103,8 +103,9 @@ def _solve_stationary(arr, tol: Tolerances):
         raise ConsistencyError("stationary solve produced a zero vector")
     pi = pi / total
     residual = float(np.max(np.abs(arr @ pi - pi)))
-    if residual > ROUTE_TOL:
-        raise ConsistencyError(f"stationary residual {residual:.3e} exceeds {ROUTE_TOL:.0e}")
+    bound = _stationary_tol(tol)
+    if residual > bound:
+        raise ConsistencyError(f"stationary residual {residual:.3e} exceeds {bound:.0e}")
 
     sigma = np.linalg.svd(arr - np.eye(r), compute_uv=False)
     null_dim = int(np.count_nonzero(sigma < _rank_cut(sigma[0], tol)))

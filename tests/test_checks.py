@@ -7,10 +7,10 @@ import pytest
 import ebchan
 from ebchan import channel, checks, cli, primitivity, stochastic
 from ebchan.channel import (HolevoForm, depolarizing, fixed_point, iterated_form,
-                            make_holevo_form, map_to_diagonal, qc_from_stochastic,
-                            stochastic_rep)
+                            make_holevo_form, map_to_diagonal, natural_rep,
+                            qc_from_stochastic, stochastic_rep)
 from ebchan.checks import run_channel_checks
-from ebchan.linalg import DEFAULT_TOL, Tolerances
+from ebchan.linalg import DEFAULT_TOL, Tolerances, vec
 from ebchan.primitivity import channel_primitivity_index
 from ebchan.sampling import random_channel, random_holevo_form, random_qc_form, wielandt_matrix
 
@@ -121,15 +121,88 @@ def test_wrong_reports_fail_above_the_sweep_cap(monkeypatch, claim, detail):
     assert bad == [("witness_soundness", detail)]
 
 
-@pytest.mark.parametrize("r, eps", [(13, 1e-2), (14, 0.1)])
+@pytest.mark.parametrize("r, eps", [(13, 1e-2), (13, 1e-3), (14, 0.1)])
 def test_decayed_wielandt_forms_pass_above_the_sweep_cap(r, eps):
     # chord weights (eps, 1 - eps): S^(q-1) has entries far below the kernel
     # cut, so a kernel test on the iterated effects finds no positive m = q
-    # on these primitive channels, and above SWEEP_CAP no check asks it
+    # on these primitive channels, and above SWEEP_CAP no check asks it.
+    # With eps = 1e-3, |lambda_2| is about 1 - 1.1e-5: the iterates reach the
+    # fixed point only after about 2^20 steps
     s = np.array(wielandt_matrix(r))
     s[0, r - 1], s[1, r - 1] = eps, 1.0 - eps
     results = run_channel_checks(qc_from_stochastic(s))
     assert all(res.ok for res in results), [res for res in results if not res.ok]
+
+
+def test_convergence_fails_on_a_moved_fixed_point(monkeypatch):
+    # the target is the true fixed point shifted by 1e-3 on the diagonal, at
+    # trace 1: the iterates never come within CONVERGENCE_TOL of it, so the
+    # check doubles m up to its cap 2^32 and reports the distance there
+    def moved(form):
+        fp = fixed_point(form)
+        rho = fp.rho + np.diag([1e-3, -1e-3])
+        rho.setflags(write=False)
+        return replace(fp, rho=rho)
+
+    monkeypatch.setattr(checks, "fixed_point", moved)
+    form = make_holevo_form(2, [(PLUS, E00), (MINUS, E11)])
+    bad = [(res.name, res.detail) for res in run_channel_checks(form) if not res.ok]
+    assert bad == [("fixed_point_convergence", f"distance 1.000e-03 after {2 ** 32} iterations")]
+
+
+def power_loop(form):
+    """(converged, distances) of v <- K v from the check's input, at most 200,000 steps.
+
+    ``distances[m]`` is the distance after m steps. The loop runs on past
+    convergence to the next power of two, the m the check stops at.
+    """
+    rep, target, n = natural_rep(form), vec(fixed_point(form).rho), form.n
+    rho = np.eye(n, dtype=complex)
+    rho[0, 0] += 1.0
+    v = vec(rho / np.trace(rho).real)
+    distances, converged, m = [float(np.max(np.abs(v - target)))], False, 0
+    while m < 200_000 and not (converged and m & (m - 1) == 0):
+        v = rep @ v
+        m += 1
+        distances.append(float(np.max(np.abs(v - target))))
+        converged = converged or distances[-1] <= checks.CONVERGENCE_TOL
+    return converged, distances
+
+
+def test_squaring_matches_a_power_loop():
+    rng = np.random.default_rng(67)
+    compared = 0
+    for i in range(200):
+        n = int(rng.integers(2, 5))
+        r = int(rng.integers(1, 8))
+        form = (random_channel(rng, n, r), random_qc_form(rng, n),
+                random_holevo_form(rng, n, r))[i % 3]
+        by_name = {res.name: res for res in run_channel_checks(form, rng)}
+        if not channel_primitivity_index(form).s_primitive:
+            assert "fixed_point_convergence" not in by_name
+            continue
+        check = by_name["fixed_point_convergence"]
+        converged, distances = power_loop(form)
+        assert check.ok == converged
+        if converged:
+            # "distance D after M iterations", with M a power of two
+            words = check.detail.split()
+            m = int(words[3])
+            assert m & (m - 1) == 0 and abs(float(words[1]) - distances[m]) <= 1e-9
+            compared += 1
+    assert compared > 150
+
+
+@pytest.mark.parametrize("excess", [5e-10, 5e-9])
+def test_stationary_residual_follows_the_forms_stochastic_tol(excess):
+    # the column of |1><1| in S sums to 1 + excess, within stochastic_tol =
+    # 1e-8, so the stationary solve leaves a residual of about excess / 4:
+    # above ROUTE_TOL, and within the form's column-sum slack
+    tol = Tolerances(stochastic_tol=1e-8)
+    form = make_holevo_form(2, [(np.diag([0.5, 0.5 + excess]), E00), (IDENT / 2, E11)], tol)
+    assert fixed_point(form).residual > excess / 5
+    assert all(res.ok for res in run_channel_checks(form))
+    assert cli.report_inconsistencies(cli.analyze_form(form)) == []
 
 
 def test_bounds_only_forms_run_no_sweep_and_no_probe():

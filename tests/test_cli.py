@@ -541,16 +541,16 @@ def test_near_singular_state_sum_ends_in_a_verdict(tmp_path, capsys):
     assert capsys.readouterr().out == (f"{path} (n = 2, r = 2): ok\nall invariants pass\n")
 
 
-def decayed_wielandt_matrix():
-    # the Wielandt pattern on 4 pairs with chord weights (1e-3, 1 - 1e-3)
-    s = np.array(wielandt_matrix(4))
-    s[0, 3], s[1, 3] = 1e-3, 1.0 - 1e-3
+def decayed_wielandt_matrix(r):
+    # the Wielandt pattern on r pairs with chord weights (1e-3, 1 - 1e-3)
+    s = np.array(wielandt_matrix(r))
+    s[0, r - 1], s[1, r - 1] = 1e-3, 1.0 - 1e-3
     return s
 
 
 @pytest.mark.parametrize("s, q", [
     # S^(m-1) has entries below the kernel cut; the pattern of S^(m-1) does not
-    (decayed_wielandt_matrix(), 10),
+    (decayed_wielandt_matrix(4), 10),
     # the pattern counts S's 1e-9 as positive (p = 1); the kernel cut counts
     # the effect diag(1e-9, 0.5) as singular, so q = 2
     ([[1 - 1e-9, 0.5], [1e-9, 0.5]], 2),
@@ -563,6 +563,15 @@ def test_analyze_reads_q_off_the_pattern_of_s(s, q, tmp_path, capsys):
     assert captured.err == ""
     assert f"  channel primitive: yes (q = {q})\n" in captured.out
     assert captured.out.endswith("consistency: ok\n")
+
+
+def test_verify_passes_a_slowly_attracting_channel(tmp_path, capsys):
+    # on 13 pairs |lambda_2| is about 1 - 1.1e-5: the iterates reach the fixed
+    # point after about 2^20 steps, which the attraction check squares its way to
+    path = tmp_path / "qc.json"
+    path.write_text(emit_channel_document(qc_from_stochastic(decayed_wielandt_matrix(13))))
+    assert main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out == f"{path} (n = 13, r = 13): ok\nall invariants pass\n"
 
 
 def test_analyze_observes_the_lower_side_of_the_index_gap(tmp_path, capsys, monkeypatch):
