@@ -5,21 +5,21 @@ POVM and each R_k a density matrix; it acts as
 
     rho  ->  sum_k  tr(F_k rho) R_k.
 
-The module builds the four matrix pictures of such a channel (the n^2 x n^2
-linear-action matrix, the Choi matrix, the tall/flat factorization A, B and
-the induced r x r column-stochastic matrix), iterates the channel, computes
-fixed points, and checks the nonzero-spectrum agreement between the channel
-and its stochastic matrix.
+The module builds the three matrix pictures of such a channel (the n^2 x n^2
+linear-action matrix, the tall/flat factorization A, B and the induced
+r x r column-stochastic matrix), iterates the channel, computes fixed
+points, and checks the nonzero-spectrum agreement between the channel and
+its stochastic matrix.
 """
 
 from __future__ import annotations
 
 __all__ = [
     "FixedPoint", "HolevoForm", "SpectrumComparison", "apply_linear",
-    "choi", "choi_pair_sum", "compare_nonzero_spectrum", "depolarizing",
-    "factorization", "fixed_point", "holevo_from_rank_one_kraus",
-    "iterated_form", "make_holevo_form", "map_to_diagonal", "natural_rep",
-    "qc_from_stochastic", "require_density", "stochastic_rep",
+    "compare_nonzero_spectrum", "depolarizing", "factorization", "fixed_point",
+    "holevo_from_rank_one_kraus", "iterated_form", "make_holevo_form",
+    "map_to_diagonal", "natural_rep", "qc_from_stochastic", "require_density",
+    "stochastic_rep",
 ]
 
 import functools
@@ -196,56 +196,40 @@ def _rep_blocks(form: HolevoForm):
         yield start, block
 
 
+def _stacked_rep_blocks(form: HolevoForm):
+    """The natural rep in blocks of ``_REP_BLOCK`` columns: yields (first column, block).
+
+    Column i * n + j is vec(channel(E_ij)). The matrix units of a block go
+    through ``apply_linear`` as one stack, one call per block, and each
+    block is a fresh array, so a caller may keep or overwrite it. Each trace
+    tr(F_k E_ij) has one nonzero term, so the columns are bitwise those of
+    one call per unit.
+    """
+    n = form.n
+    dim = n * n
+    for start in range(0, dim, _REP_BLOCK):
+        width = min(_REP_BLOCK, dim - start)
+        units = np.eye(width, dim, k=start, dtype=np.complex128)  # row c is vec(E_{start+c})
+        yield start, apply_linear(form, units.reshape(width, n, n)).reshape(width, dim).T
+
+
 def natural_rep(form: HolevoForm):
     """n^2 x n^2 matrix of the channel on row-major vectorized operators.
 
     Column (i, j) is the vectorized image of the matrix unit E_ij, so
-    ``vec(channel(X)) == natural_rep @ vec(X)`` for every X. The matrix
-    units go through ``apply_linear`` as stacks of ``_REP_BLOCK``, one call
-    per stack, and K is filled block by block, so the memory held is K plus
-    one block's temporaries. Each trace tr(F_k E_ij) has one nonzero term,
-    so the columns are bitwise those of one call per unit. The ``analyze``
-    path streams the same columns through ``_range_basis`` and stores no
-    n^2 x n^2 array; it calls this only on the exact route (r >= n^2, or a
-    failed residual check).
+    ``vec(channel(X)) == natural_rep @ vec(X)`` for every X. K is read once,
+    in the column blocks of ``_stacked_rep_blocks``, and filled block by
+    block, so the memory held is K plus one block's temporaries. Only the
+    exact route of ``_range_basis`` (r >= n^2, or a failed residual check)
+    holds K whole: ``analyze`` streams the columns through ``_range_basis``,
+    and ``run_channel_checks`` reads the blocks of ``_stacked_rep_blocks``
+    one at a time.
     """
-    n = form.n
-    dim = n * n
+    dim = form.n * form.n
     rep = np.empty((dim, dim), dtype=np.complex128)
-    for start in range(0, dim, _REP_BLOCK):
-        width = min(_REP_BLOCK, dim - start)
-        units = np.eye(width, dim, k=start, dtype=np.complex128)  # row c is vec(E_{start+c})
-        images = apply_linear(form, units.reshape(width, n, n))
-        rep[:, start:start + width] = images.reshape(width, dim).T
+    for start, block in _stacked_rep_blocks(form):
+        rep[:, start:start + block.shape[1]] = block
     return rep
-
-
-def choi(form: HolevoForm):
-    """Choi matrix: block (i, j) of the n^2 x n^2 result is the image of E_ij.
-
-    Realigns the natural rep, whose column i * n + j is that image vectorized
-    (``_choi_from_rep``).
-    """
-    return _choi_from_rep(natural_rep(form), form.n)
-
-
-def _choi_from_rep(rep, n: int):
-    """``choi[i*n + a, j*n + b] == rep[a*n + b, i*n + j]`` for the natural rep ``rep``."""
-    return rep.reshape(n, n, n, n).transpose(2, 0, 3, 1).reshape(n * n, n * n)
-
-
-def choi_pair_sum(form: HolevoForm):
-    """Alternative Choi assembly sum_k transpose(F_k) (x) R_k, added in k order.
-
-    Each term is the Kronecker product written as one broadcast product,
-    ``[i*n + a, j*n + b] = F_k[j, i] * R_k[a, b]``: the same elementwise
-    products as ``np.kron``, so the sum is bitwise the sum of the krons.
-    """
-    n = form.n
-    total = np.zeros((n * n, n * n), dtype=np.complex128)
-    for f, r in zip(form.effects, form.states):
-        total += (f.T[:, None, :, None] * r[None, :, None, :]).reshape(n * n, n * n)
-    return total
 
 
 def factorization(form: HolevoForm):

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (HolevoForm, _choi_from_rep, apply_linear, choi_pair_sum,
+from .channel import (HolevoForm, _stacked_rep_blocks, apply_linear,
                       compare_nonzero_spectrum, factorization, fixed_point,
-                      iterated_form, natural_rep, stochastic_rep)
+                      iterated_form, stochastic_rep)
 from .linalg import ROUTE_TOL, _stationary_tol, vec
 from .primitivity import (SUBSET_CAP, _channel_index_bound, channel_primitivity_index,
                           strictly_positive_at, sweep_positive_iterate)
@@ -41,19 +41,25 @@ def _result(name: str, ok, detail: str) -> CheckResult:
 def run_channel_checks(form: HolevoForm, rng=None) -> list:
     """Run the full invariant suite on one channel; returns all results.
 
-    ``linear_extension`` compares the channel's action with its natural rep
-    on 50 random complex operators. They are drawn as one
-    (50, 2, n, n) standard-normal block, which takes the same stream in the
-    same order as 50 sequential (real, imag) pairs of n x n draws, and go
-    through ``apply_linear`` as one stacked action; the check reports the
-    worst max |direct - via rep| / (1 + max |X|) over the probes.
-    ``iterated_form`` draws its two probes (m = 2, 3) the same way, as one
-    (2, 2, n, n) block, and composes them as a stack: three channel actions
-    for the chains and one per iterated form. With the natural rep applied
-    in stacks of 64 matrix units, a run on a form whose range is cached
-    makes 8 ``apply_linear`` calls for n <= 8, and m more to grade the
-    witness that m = q - 1 (or r^2 - 2r + 3, if not primitive) is not
-    positive yet.
+    The natural rep K is read once, in the column blocks of
+    ``_stacked_rep_blocks``, and no n^2 x n^2 array is held: memory is
+    O(_REP_BLOCK n^2 + r n^2) outside the exact route of the range pass
+    (r >= n^2, or a failed residual check), which holds K. Each block feeds
+    two checks. ``linear_extension`` compares the channel's action with K
+    on 50 random complex operators. They are drawn as one (50, 2, n, n)
+    standard-normal block, which takes the same stream in the same order as
+    50 sequential (real, imag) pairs of n x n draws, and go through
+    ``apply_linear`` as one stacked action; K vec(X) is summed in block
+    order, so for n > 8 (more than one block) the reported worst
+    max |direct - via rep| / (1 + max |X|) can differ from one product with
+    the whole K in the last bits. ``factorization`` takes the largest
+    |block - A B[:, block]|, with the |S - BA| and imaginary-leak terms from
+    one B A. ``iterated_form`` draws its two probes (m = 2, 3) the same way,
+    as one (2, 2, n, n) block, and composes them as a stack: three channel
+    actions for the chains and one per iterated form. With K read in stacks
+    of 64 matrix units, a run on a form whose range is cached makes 8
+    ``apply_linear`` calls for n <= 8, and m more to grade the witness that
+    m = q - 1 (or r^2 - 2r + 3, if not primitive) is not positive yet.
 
     ``fixed_point_convergence`` squares the compression C = (Q* K) Q whose
     eigenvalues the spectrum check takes: it asks whether the iterates of one
@@ -73,26 +79,25 @@ def run_channel_checks(form: HolevoForm, rng=None) -> list:
     out.append(_result("povm_closure", defect <= form.tol.stochastic_tol,
                        f"max |sum F - I| = {defect:.3e}"))
 
-    rep = natural_rep(form)
     probes = rng.standard_normal((50, 2, n, n))  # (real, imag) per probe, in draw order
     xs = probes[:, 0] + 1j * probes[:, 1]
     flat = xs.reshape(len(xs), n * n)  # row i is vec(X_i)
     direct = apply_linear(form, xs).reshape(flat.shape)
-    via_rep = flat @ rep.T  # row i is rep @ vec(X_i)
+    a, b = factorization(form)
+    via_rep = np.zeros_like(direct)  # row i is K @ vec(X_i), summed over K's column blocks
+    ab_defect = 0.0
+    for start, block in _stacked_rep_blocks(form):
+        cols = slice(start, start + block.shape[1])
+        via_rep += flat[:, cols] @ block.T
+        ab_defect = max(ab_defect, float(np.max(np.abs(block - a @ b[:, cols]))))
     scale = 1.0 + np.max(np.abs(xs), axis=(1, 2))
     worst = float(np.max(np.max(np.abs(direct - via_rep), axis=1) / scale))
     out.append(_result("linear_extension", worst <= ROUTE_TOL,
                        f"max relative action mismatch = {worst:.3e}"))
 
-    choi_defect = float(np.max(np.abs(_choi_from_rep(rep, n) - choi_pair_sum(form))))
-    out.append(_result("choi_two_routes", choi_defect <= ROUTE_TOL,
-                       f"max |Choi route difference| = {choi_defect:.3e}"))
-
-    a, b = factorization(form)
-    s = stochastic_rep(form)
-    ab_defect = float(np.max(np.abs(rep - a @ b)))
-    ba_defect = float(np.max(np.abs(s - (b @ a).real)))
-    imag_leak = float(np.max(np.abs((b @ a).imag)))
+    ba = b @ a
+    ba_defect = float(np.max(np.abs(stochastic_rep(form) - ba.real)))
+    imag_leak = float(np.max(np.abs(ba.imag)))
     out.append(_result("factorization", max(ab_defect, ba_defect, imag_leak) <= ROUTE_TOL,
                        f"|rep - AB| = {ab_defect:.3e}, |S - BA| = {ba_defect:.3e}"))
 

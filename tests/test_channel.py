@@ -3,9 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from ebchan.channel import (_pair_distance, apply_linear, choi, choi_pair_sum,
-                            compare_nonzero_spectrum, depolarizing,
-                            factorization, fixed_point,
+from ebchan.channel import (_pair_distance, apply_linear, compare_nonzero_spectrum,
+                            depolarizing, factorization, fixed_point,
                             holevo_from_rank_one_kraus, iterated_form,
                             make_holevo_form, map_to_diagonal, natural_rep,
                             qc_from_stochastic, stochastic_rep)
@@ -249,10 +248,6 @@ def per_unit_natural_rep(form):
     return rep
 
 
-def kron_choi_pair_sum(form):
-    return sum(np.kron(f.T, r) for f, r in zip(form.effects, form.states))
-
-
 @pytest.mark.parametrize("n", range(1, 10))
 def test_stacked_pictures_are_bitwise_the_reference_loops(n):
     # n = 9 stacks the 81 matrix units in two blocks; the diagonal map's
@@ -261,23 +256,6 @@ def test_stacked_pictures_are_bitwise_the_reference_loops(n):
     for form in (random_holevo_form(rng, n, 1), random_holevo_form(rng, n, 4),
                  map_to_diagonal(n)):
         assert natural_rep(form).tobytes() == per_unit_natural_rep(form).tobytes()
-        assert choi_pair_sum(form).tobytes() == kron_choi_pair_sum(form).tobytes()
-
-
-def test_choi_depolarizing():
-    np.testing.assert_allclose(choi(depolarizing(2)), np.eye(4) / 2, atol=1e-12)
-
-
-def test_choi_map_to_diagonal():
-    np.testing.assert_allclose(choi(map_to_diagonal(2)),
-                               np.diag([1.0, 0.0, 0.0, 1.0]), atol=1e-12)
-
-
-def test_choi_two_routes_agree():
-    rng = np.random.default_rng(23)
-    for _ in range(10):
-        form = random_holevo_form(rng, int(rng.integers(2, 4)), int(rng.integers(1, 5)))
-        assert np.max(np.abs(choi(form) - choi_pair_sum(form))) <= 1e-10
 
 
 def test_factorization_depolarizing():

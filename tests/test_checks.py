@@ -1,4 +1,5 @@
 import inspect
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -30,7 +31,7 @@ def test_full_suite_on_flip_example():
     results = run_channel_checks(form)
     assert all(res.ok for res in results)
     got = names(results)
-    assert {"povm_closure", "linear_extension", "choi_two_routes", "factorization",
+    assert {"povm_closure", "linear_extension", "factorization",
             "iterated_form", "nonzero_spectrum", "fixed_point_residual",
             "fixed_point_convergence", "primitivity_two_routes", "index_gap"} <= got
     # q <= p + 1 <= r^2 - 2r + 3 whenever q exists, so no check restates that bound
@@ -243,17 +244,34 @@ def test_linear_extension_probes_are_the_sequential_draws(monkeypatch):
 
 
 def test_linear_extension_fails_on_a_moved_rep_entry(monkeypatch):
-    natural_rep = checks.natural_rep
+    # n = 9 reads K in two blocks; the entry moves in the second, so both
+    # checks that read K must see every block
+    blocks = checks._stacked_rep_blocks
 
     def moved(form):
-        rep = natural_rep(form)
-        rep[4, 7] += 1e-6
-        return rep
+        for start, block in blocks(form):
+            if start > 0:
+                block[4, 7] += 1e-6
+            yield start, block
 
-    monkeypatch.setattr(checks, "natural_rep", moved)
-    form = random_channel(np.random.default_rng(62), 3, 3)
+    monkeypatch.setattr(checks, "_stacked_rep_blocks", moved)
+    form = random_holevo_form(np.random.default_rng(62), 9, 3)
     by_name = {res.name: res for res in run_channel_checks(form)}
-    assert not by_name["linear_extension"].ok, by_name["linear_extension"].detail
+    for name in ("linear_extension", "factorization"):
+        assert not by_name[name].ok, by_name[name].detail
+
+
+def test_checks_hold_no_whole_natural_rep():
+    n = 32
+    form = random_holevo_form(np.random.default_rng(5), n, 4)
+    tracemalloc.start()
+    try:
+        results = run_channel_checks(form)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(res.ok for res in results)
+    assert peak < 16 * n ** 4  # K alone takes 16 n^4 bytes, 16.8 MB here
 
 
 def count_calls(monkeypatch, module, name, *modules):
