@@ -67,7 +67,9 @@ class HolevoForm:
         """(Q, Q* K) for the natural rep K, computed once per form; see ``_range_basis``.
 
         range(K) lies in span{vec R_k}, so Q is an orthonormal basis of the
-        vectorized states; K is streamed in column blocks and never stored whole.
+        vectorized states and K is streamed in column blocks. Only the exact
+        route (r >= n^2, or a failed residual check) holds K whole, as Q* K
+        with Q = I.
         """
         return _range_basis(self)
 
@@ -178,9 +180,9 @@ def _rep_blocks(form: HolevoForm):
     """The natural rep in blocks of ``_REP_BLOCK`` columns: yields (first column, block).
 
     Column i * n + j is vec(channel(E_ij)), one ``apply_linear`` call per
-    matrix unit. Every block is a view of one n^2 x _REP_BLOCK buffer that
-    the next block overwrites, so a caller uses each block before taking
-    the next, and may overwrite it.
+    matrix unit; this is the one loop that reads K. Every block is a view
+    of one n^2 x _REP_BLOCK buffer that the next block overwrites, so a
+    caller uses each block before taking the next, and may overwrite it.
     """
     n = form.n
     dim = n * n
@@ -196,38 +198,20 @@ def _rep_blocks(form: HolevoForm):
         yield start, block
 
 
-def _stacked_rep_blocks(form: HolevoForm):
-    """The natural rep in blocks of ``_REP_BLOCK`` columns: yields (first column, block).
-
-    Column i * n + j is vec(channel(E_ij)). The matrix units of a block go
-    through ``apply_linear`` as one stack, one call per block, and each
-    block is a fresh array, so a caller may keep or overwrite it. Each trace
-    tr(F_k E_ij) has one nonzero term, so the columns are bitwise those of
-    one call per unit.
-    """
-    n = form.n
-    dim = n * n
-    for start in range(0, dim, _REP_BLOCK):
-        width = min(_REP_BLOCK, dim - start)
-        units = np.eye(width, dim, k=start, dtype=np.complex128)  # row c is vec(E_{start+c})
-        yield start, apply_linear(form, units.reshape(width, n, n)).reshape(width, dim).T
-
-
 def natural_rep(form: HolevoForm):
     """n^2 x n^2 matrix of the channel on row-major vectorized operators.
 
     Column (i, j) is the vectorized image of the matrix unit E_ij, so
-    ``vec(channel(X)) == natural_rep @ vec(X)`` for every X. K is read once,
-    in the column blocks of ``_stacked_rep_blocks``, and filled block by
-    block, so the memory held is K plus one block's temporaries. Only the
-    exact route of ``_range_basis`` (r >= n^2, or a failed residual check)
-    holds K whole: ``analyze`` streams the columns through ``_range_basis``,
-    and ``run_channel_checks`` reads the blocks of ``_stacked_rep_blocks``
-    one at a time.
+    ``vec(channel(X)) == natural_rep @ vec(X)`` for every X. K is filled
+    from the column blocks of ``_rep_blocks``, one ``apply_linear`` call
+    per matrix unit, so the memory held is K plus one block. Only the exact
+    route of ``_range_basis`` (r >= n^2, or a failed residual check) builds
+    K; ``analyze`` and ``run_channel_checks`` read it through the range
+    (Q, Q* K) that ``_range_basis`` streams from the same blocks.
     """
     dim = form.n * form.n
     rep = np.empty((dim, dim), dtype=np.complex128)
-    for start, block in _stacked_rep_blocks(form):
+    for start, block in _rep_blocks(form):
         rep[:, start:start + block.shape[1]] = block
     return rep
 
@@ -412,11 +396,11 @@ def compare_nonzero_spectrum(form: HolevoForm) -> SpectrumComparison:
     vectorized states, checked against K by its residual (``_range_basis``;
     k = r, or n^2 when r >= n^2). Streaming K's columns through Q costs
     O(r n^4), against O(n^6) for the dense eig, and K is read in blocks of
-    64 columns, never stored whole. The stochastic side is the r x r eig of
-    S, so the two routes stay independent. Eigenvalues with modulus
-    below ``zero_eig_tol`` are discarded on both sides; ``max_pair_distance``
-    is the bottleneck distance of the remainders, the least d under which
-    they pair up one to one (``_pair_distance``).
+    64 columns, stored whole only on the exact route. The stochastic side
+    is the r x r eig of S, so the two routes stay independent. Eigenvalues
+    with modulus below ``zero_eig_tol`` are discarded on both sides;
+    ``max_pair_distance`` is the bottleneck distance of the remainders, the
+    least d under which they pair up one to one (``_pair_distance``).
     """
     q, qh_rep = form._action_range
     lam_chan = eig_general(qh_rep @ q)

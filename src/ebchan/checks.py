@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (HolevoForm, _stacked_rep_blocks, apply_linear,
-                      compare_nonzero_spectrum, factorization, fixed_point,
-                      iterated_form, stochastic_rep)
+from .channel import (HolevoForm, apply_linear, compare_nonzero_spectrum, factorization,
+                      fixed_point, iterated_form, stochastic_rep)
 from .linalg import ROUTE_TOL, _stationary_tol, vec
 from .primitivity import (SUBSET_CAP, _channel_index_bound, channel_primitivity_index,
                           strictly_positive_at, sweep_positive_iterate)
@@ -41,25 +40,25 @@ def _result(name: str, ok, detail: str) -> CheckResult:
 def run_channel_checks(form: HolevoForm, rng=None) -> list:
     """Run the full invariant suite on one channel; returns all results.
 
-    The natural rep K is read once, in the column blocks of
-    ``_stacked_rep_blocks``, and no n^2 x n^2 array is held: memory is
-    O(_REP_BLOCK n^2 + r n^2) outside the exact route of the range pass
-    (r >= n^2, or a failed residual check), which holds K. Each block feeds
-    two checks. ``linear_extension`` compares the channel's action with K
-    on 50 random complex operators. They are drawn as one (50, 2, n, n)
-    standard-normal block, which takes the same stream in the same order as
-    50 sequential (real, imag) pairs of n x n draws, and go through
-    ``apply_linear`` as one stacked action; K vec(X) is summed in block
-    order, so for n > 8 (more than one block) the reported worst
-    max |direct - via rep| / (1 + max |X|) can differ from one product with
-    the whole K in the last bits. ``factorization`` takes the largest
-    |block - A B[:, block]|, with the |S - BA| and imaginary-leak terms from
-    one B A. ``iterated_form`` draws its two probes (m = 2, 3) the same way,
-    as one (2, 2, n, n) block, and composes them as a stack: three channel
-    actions for the chains and one per iterated form. With K read in stacks
-    of 64 matrix units, a run on a form whose range is cached makes 8
-    ``apply_linear`` calls for n <= 8, and m more to grade the witness that
-    m = q - 1 (or r^2 - 2r + 3, if not primitive) is not positive yet.
+    The natural rep K is read once per form, by the range pass whose
+    (Q, Q* K) the form caches (``HolevoForm._action_range``): Q* K comes
+    from ``apply_linear`` on matrix units, never from A B, and K = Q (Q* K)
+    is what that pass checks by its residual. No n^2 x n^2 array is held
+    outside its exact route (r >= n^2, or a failed residual check), where
+    Q = I. ``linear_extension`` compares the channel's action with
+    Q (Q* K) vec(X) on 50 random complex operators. They are drawn as one
+    (50, 2, n, n) standard-normal block, which takes the same stream in the
+    same order as 50 sequential (real, imag) pairs of n x n draws, and go
+    through ``apply_linear`` as one stacked action; the check reports the
+    worst max |direct - via rep| / (1 + max |X|). ``factorization`` reports
+    max_j ||(Q* K - (Q* A) B)[:, j]||_2, which bounds max |K - A B| because
+    the columns of A lie in range(Q), with the |S - BA| and imaginary-leak
+    terms from one B A. ``iterated_form`` draws its two probes (m = 2, 3)
+    the same way, as one (2, 2, n, n) block, and composes them as a stack:
+    three channel actions for the chains and one per iterated form. A run
+    on a form whose range is cached makes 7 ``apply_linear`` calls, none on
+    a matrix unit, and m more to grade the witness that m = q - 1 (or
+    r^2 - 2r + 3, if not primitive) is not positive yet.
 
     ``fixed_point_convergence`` squares the compression C = (Q* K) Q whose
     eigenvalues the spectrum check takes: it asks whether the iterates of one
@@ -83,23 +82,22 @@ def run_channel_checks(form: HolevoForm, rng=None) -> list:
     xs = probes[:, 0] + 1j * probes[:, 1]
     flat = xs.reshape(len(xs), n * n)  # row i is vec(X_i)
     direct = apply_linear(form, xs).reshape(flat.shape)
-    a, b = factorization(form)
-    via_rep = np.zeros_like(direct)  # row i is K @ vec(X_i), summed over K's column blocks
-    ab_defect = 0.0
-    for start, block in _stacked_rep_blocks(form):
-        cols = slice(start, start + block.shape[1])
-        via_rep += flat[:, cols] @ block.T
-        ab_defect = max(ab_defect, float(np.max(np.abs(block - a @ b[:, cols]))))
+    q, qh_rep = form._action_range
+    via_rep = (flat @ qh_rep.T) @ q.T  # row i is Q (Q* K) vec(X_i) = K vec(X_i)
     scale = 1.0 + np.max(np.abs(xs), axis=(1, 2))
     worst = float(np.max(np.max(np.abs(direct - via_rep), axis=1) / scale))
     out.append(_result("linear_extension", worst <= ROUTE_TOL,
                        f"max relative action mismatch = {worst:.3e}"))
 
+    a, b = factorization(form)
+    # K - A B = Q (Q* K - (Q* A) B), and no entry of Q v exceeds ||v||_2
+    ab_defect = float(np.max(np.linalg.norm(qh_rep - (q.conj().T @ a) @ b, axis=0)))
     ba = b @ a
     ba_defect = float(np.max(np.abs(stochastic_rep(form) - ba.real)))
     imag_leak = float(np.max(np.abs(ba.imag)))
     out.append(_result("factorization", max(ab_defect, ba_defect, imag_leak) <= ROUTE_TOL,
-                       f"|rep - AB| = {ab_defect:.3e}, |S - BA| = {ba_defect:.3e}"))
+                       f"|rep - AB| <= {ab_defect:.3e} (largest column 2-norm), "
+                       f"|S - BA| = {ba_defect:.3e}"))
 
     # one (real, imag) probe per iterated form, m = 2 and 3, in draw order
     probes = rng.standard_normal((2, 2, n, n))
@@ -128,7 +126,6 @@ def run_channel_checks(form: HolevoForm, rng=None) -> list:
         # P = C^(m-1), C = Q* K Q and h = Q* K vec(rho); P <- P C P doubles m.
         # Round-off in P grows about as m * eps, so doubling stops before that
         # reaches CONVERGENCE_TOL (m = 2^32), where the distance says no more
-        q, qh_rep = form._action_range
         c = qh_rep @ q
         h = qh_rep @ vec(np.diag([2.0] + [1.0] * (n - 1)) / (n + 1))  # rho = diag(2, 1, ...) / tr
         target = vec(fp.rho)

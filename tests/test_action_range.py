@@ -155,8 +155,8 @@ def test_range_never_holds_the_natural_rep():
 
 
 def test_natural_rep_applies_the_channel_once_per_matrix_unit(monkeypatch):
-    # K must come from the channel's action, not from the factors A and B;
-    # the units go in stacks of 64, so n = 9 (81 units) takes two calls
+    # K must come from the channel's action, not from the factors A and B:
+    # n^2 calls, call k on the single matrix unit with its 1 at flat index k
     operands = []
     apply_linear = channel.apply_linear
 
@@ -168,13 +168,13 @@ def test_natural_rep_applies_the_channel_once_per_matrix_unit(monkeypatch):
     for n in (4, 9):
         del operands[:]
         natural_rep(random_holevo_form(np.random.default_rng(9), n, 3))
-        units = np.eye(n * n).reshape(n * n, n, n)  # unit k has its 1 at flat index k
-        assert len(operands) == -(-n * n // 64)
-        assert np.array_equal(np.concatenate(operands), units)
+        units = np.eye(n * n).reshape(n * n, n, n)
+        assert len(operands) == n * n
+        assert np.array_equal(np.array(operands), units)
 
 
 def test_natural_rep_holds_one_block_of_temporaries():
-    # K plus one stack of 64 units: a single (n^2, n, n) stack would hold about 5 K
+    # K plus one n^2 x 64 block: a single (n^2, n, n) stack of units would hold about 5 K
     n = 24
     form = random_holevo_form(np.random.default_rng(25), n, 4)
     tracemalloc.start()

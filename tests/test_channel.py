@@ -250,7 +250,7 @@ def per_unit_natural_rep(form):
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_stacked_pictures_are_bitwise_the_reference_loops(n):
-    # n = 9 stacks the 81 matrix units in two blocks; the diagonal map's
+    # n = 9 reads the 81 matrix units in two blocks; the diagonal map's
     # zero entries pin the signs of zero too
     rng = np.random.default_rng(26 + n)
     for form in (random_holevo_form(rng, n, 1), random_holevo_form(rng, n, 4),

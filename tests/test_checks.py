@@ -243,22 +243,45 @@ def test_linear_extension_probes_are_the_sequential_draws(monkeypatch):
     assert rng.bit_generator.state == reference.bit_generator.state
 
 
-def test_linear_extension_fails_on_a_moved_rep_entry(monkeypatch):
-    # n = 9 reads K in two blocks; the entry moves in the second, so both
-    # checks that read K must see every block
-    blocks = checks._stacked_rep_blocks
+def corrupt_rep_blocks(monkeypatch, corrupt):
+    """Make ``channel._rep_blocks`` pass each block through ``corrupt(start, block)``."""
+    blocks = channel._rep_blocks
 
-    def moved(form):
+    def corrupted(form):
         for start, block in blocks(form):
-            if start > 0:
-                block[4, 7] += 1e-6
+            corrupt(start, block)
             yield start, block
 
-    monkeypatch.setattr(checks, "_stacked_rep_blocks", moved)
-    form = random_holevo_form(np.random.default_rng(62), 9, 3)
+    monkeypatch.setattr(channel, "_rep_blocks", corrupted)
+
+
+def assert_rep_checks_fail(form, basis_width):
     by_name = {res.name: res for res in run_channel_checks(form)}
+    assert form._action_range[0].shape == (form.n ** 2, basis_width)
     for name in ("linear_extension", "factorization"):
         assert not by_name[name].ok, by_name[name].detail
+
+
+def test_linear_extension_fails_on_a_moved_rep_entry(monkeypatch):
+    # n = 9 reads K in two blocks; entry [4, 7] of the second moves out of the
+    # state span, so the range pass falls back to the exact pair (I, K)
+    def move(start, block):
+        if start == 64:
+            block[4, 7] += 1e-6
+
+    corrupt_rep_blocks(monkeypatch, move)
+    assert_rep_checks_fail(random_holevo_form(np.random.default_rng(62), 9, 3), 81)
+
+
+def test_linear_extension_fails_on_a_scaled_rep_column(monkeypatch):
+    # a scaled column stays in the state span: the residual passes, so the
+    # checks read the corrupted K through the kept range (Q, Q* K)
+    def scale(start, block):
+        if start == 64:
+            block[:, 7] *= 1 + 1e-6
+
+    corrupt_rep_blocks(monkeypatch, scale)
+    assert_rep_checks_fail(random_holevo_form(np.random.default_rng(62), 9, 3), 3)
 
 
 def test_checks_hold_no_whole_natural_rep():
@@ -290,12 +313,13 @@ def count_calls(monkeypatch, module, name, *modules):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_channel_actions_per_check_run(monkeypatch, n):
-    # one stacked call for the natural rep (n^2 <= 64), one for the
-    # linear_extension probes, five for the two iterated-form probes (three
-    # for the stacked chains, one per iterated form), one for the fixed point,
-    # and m to grade the witness at the probe m = q - 1 (r^2 - 2r + 3 if not
-    # primitive); a fresh form adds n^2 for the streamed range pass
+    # one stacked call for the linear_extension probes, five for the two
+    # iterated-form probes (three for the stacked chains, one per iterated
+    # form), one for the fixed point, and m to grade the witness at the probe
+    # m = q - 1 (r^2 - 2r + 3 if not primitive); a fresh form adds one read
+    # of K (n^2 calls on matrix units), a form whose range is cached none
     calls = count_calls(monkeypatch, channel, "apply_linear", checks)
+    reads = count_calls(monkeypatch, channel, "_rep_blocks")
     rng = np.random.default_rng(63 + n)
     for r in (1, 2, 4):
         form = random_channel(rng, n, r)
@@ -303,10 +327,10 @@ def test_channel_actions_per_check_run(monkeypatch, n):
         witness = r * r - 2 * r + 3 if q is None else q - 1
         del calls[:]
         assert all(res.ok for res in run_channel_checks(form, rng=rng))
-        assert len(calls) <= n * n + 8 + witness
-        del calls[:]
+        assert len(calls) == n * n + 7 + witness and len(reads) == 1
+        del calls[:], reads[:]
         assert all(res.ok for res in run_channel_checks(form, rng=rng))  # range now cached
-        assert len(calls) <= 8 + witness
+        assert len(calls) == 7 + witness and reads == []
 
 
 def test_fixed_point_reads_the_validated_stochastic_matrix(monkeypatch):
