@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ConsistencyError, ValidationError
 from .linalg import DEFAULT_TOL, Tolerances, _rank_cut, as_square, eig_general, eig_hermitian
 from .stochastic import _solve_stationary, make_stochastic
 
@@ -67,9 +67,7 @@ class HolevoForm:
         """(Q, Q* K) for the natural rep K, computed once per form; see ``_range_basis``.
 
         range(K) lies in span{vec R_k}, so Q is an orthonormal basis of the
-        vectorized states and K is streamed in column blocks. Only the exact
-        route (r >= n^2, or a failed residual check) holds K whole, as Q* K
-        with Q = I.
+        vectorized states and K is streamed in column blocks, never held whole.
         """
         return _range_basis(self)
 
@@ -204,10 +202,9 @@ def natural_rep(form: HolevoForm):
     Column (i, j) is the vectorized image of the matrix unit E_ij, so
     ``vec(channel(X)) == natural_rep @ vec(X)`` for every X. K is filled
     from the column blocks of ``_rep_blocks``, one ``apply_linear`` call
-    per matrix unit, so the memory held is K plus one block. Only the exact
-    route of ``_range_basis`` (r >= n^2, or a failed residual check) builds
-    K; ``analyze`` and ``run_channel_checks`` read it through the range
-    (Q, Q* K) that ``_range_basis`` streams from the same blocks.
+    per matrix unit, so the memory held is K plus one block. No command
+    builds K: ``analyze`` and ``run_channel_checks`` read it through the
+    range (Q, Q* K) that ``_range_basis`` streams from the same blocks.
     """
     dim = form.n * form.n
     rep = np.empty((dim, dim), dtype=np.complex128)
@@ -311,28 +308,29 @@ def _range_basis(form: HolevoForm):
 
     Every output of the channel is a combination of the states, so range(K)
     lies in span{vec R_k}: Q comes from the reduced QR of the n^2 x r factor
-    A, whose columns are the vectorized states. K is still taken from the
-    channel's action, never as A B: one pass over its column blocks
-    (``_rep_blocks``) fills Q* K and checks max |K - Q (Q* K)| <=
-    _RANGE_RESIDUAL * max(1, max |K|). No n^2 x n^2 array is held unless
-    r >= n^2 or the check fails; then Q is the identity, Q* K is K itself
-    and the result is exact.
+    A, whose columns are the vectorized states, and has min(r, n^2) columns.
+    K is still taken from the channel's action, never as A B: one pass over
+    its column blocks (``_rep_blocks``) fills Q* K and checks max |K - Q (Q*
+    K)| <= _RANGE_RESIDUAL * max(1, max |K|). K is never held whole; Q and
+    Q* K hold min(r, n^2) n^2 entries each, no more than the state stack.
+    A failed check means the action left the span of its states, which no
+    valid form does, and raises ConsistencyError.
     """
     dim = form.n * form.n
-    if form.r < dim:
-        q, _ = np.linalg.qr(factorization(form)[0])
-        qh_rep = np.empty((form.r, dim), dtype=np.complex128)
-        worst, top = 0.0, 0.0
-        for start, block in _rep_blocks(form):
-            qh_block = qh_rep[:, start:start + block.shape[1]]
-            qh_block[...] = q.conj().T @ block
-            top = max(top, float(np.max(np.abs(block))))
-            for row in range(0, dim, _REP_BLOCK):  # block -= Q (Q* block), no second block held
-                block[row:row + _REP_BLOCK] -= q[row:row + _REP_BLOCK] @ qh_block
-            worst = max(worst, float(np.max(np.abs(block))))
-        if worst <= _RANGE_RESIDUAL * max(1.0, top):
-            return q, qh_rep
-    return np.eye(dim, dtype=np.complex128), natural_rep(form)
+    q, _ = np.linalg.qr(factorization(form)[0])
+    qh_rep = np.empty((q.shape[1], dim), dtype=np.complex128)
+    worst, top = 0.0, 0.0
+    for start, block in _rep_blocks(form):
+        qh_block = qh_rep[:, start:start + block.shape[1]]
+        qh_block[...] = q.conj().T @ block
+        top = max(top, float(np.max(np.abs(block))))
+        for row in range(0, dim, _REP_BLOCK):  # block -= Q (Q* block), no second block held
+            block[row:row + _REP_BLOCK] -= q[row:row + _REP_BLOCK] @ qh_block
+        worst = max(worst, float(np.max(np.abs(block))))
+    if worst > _RANGE_RESIDUAL * max(1.0, top):
+        raise ConsistencyError("the channel's action leaves the span of its states: "
+                               f"max |K - Q Q* K| = {worst:.3e}")
+    return q, qh_rep
 
 
 def _pairs_within(allowed):
@@ -394,13 +392,13 @@ def compare_nonzero_spectrum(form: HolevoForm) -> SpectrumComparison:
     range(K) lies in span{vec R_k}, so the nonzero eigenvalues of K are those
     of the k x k compression (Q* K) Q, where Q is an orthonormal basis of the
     vectorized states, checked against K by its residual (``_range_basis``;
-    k = r, or n^2 when r >= n^2). Streaming K's columns through Q costs
-    O(r n^4), against O(n^6) for the dense eig, and K is read in blocks of
-    64 columns, stored whole only on the exact route. The stochastic side
-    is the r x r eig of S, so the two routes stay independent. Eigenvalues
-    with modulus below ``zero_eig_tol`` are discarded on both sides;
-    ``max_pair_distance`` is the bottleneck distance of the remainders, the
-    least d under which they pair up one to one (``_pair_distance``).
+    k = min(r, n^2)). Streaming K's columns through Q costs O(r n^4),
+    against O(n^6) for the dense eig, and K is read in blocks of 64
+    columns, never stored whole. The stochastic side is the r x r eig of
+    S, so the two routes stay independent. Eigenvalues with modulus below
+    ``zero_eig_tol`` are discarded on both sides; ``max_pair_distance`` is
+    the bottleneck distance of the remainders, the least d under which they
+    pair up one to one (``_pair_distance``).
     """
     q, qh_rep = form._action_range
     lam_chan = eig_general(qh_rep @ q)

@@ -43,14 +43,14 @@ def run_channel_checks(form: HolevoForm, rng=None) -> list:
     The natural rep K is read once per form, by the range pass whose
     (Q, Q* K) the form caches (``HolevoForm._action_range``): Q* K comes
     from ``apply_linear`` on matrix units, never from A B, and K = Q (Q* K)
-    is what that pass checks by its residual. No n^2 x n^2 array is held
-    outside its exact route (r >= n^2, or a failed residual check), where
-    Q = I. ``linear_extension`` compares the channel's action with
-    Q (Q* K) vec(X) on 50 random complex operators. They are drawn as one
-    (50, 2, n, n) standard-normal block, which takes the same stream in the
-    same order as 50 sequential (real, imag) pairs of n x n draws, and go
-    through ``apply_linear`` as one stacked action; the check reports the
-    worst max |direct - via rep| / (1 + max |X|). ``factorization`` reports
+    is what that pass checks by its residual; a failed residual raises
+    ConsistencyError. K is never held whole. ``linear_extension``
+    compares the channel's action with Q (Q* K) vec(X) on 50 random
+    complex operators. They are drawn as one (50, 2, n, n) standard-normal
+    block, which takes the same stream in the same order as 50 sequential
+    (real, imag) pairs of n x n draws, and go through ``apply_linear`` as
+    one stacked action; the check reports the worst max |direct - via rep|
+    / (1 + max |X|). ``factorization`` reports
     max_j ||(Q* K - (Q* A) B)[:, j]||_2, which bounds max |K - A B| because
     the columns of A lie in range(Q), with the |S - BA| and imaginary-leak
     terms from one B A. ``iterated_form`` draws its two probes (m = 2, 3)

@@ -343,8 +343,8 @@ def holevo_rank_bounds(form: HolevoForm) -> HolevoRankBounds:
 
     The rank is counted from the singular values of the k x n^2 matrix
     Q* K, where Q is the orthonormal basis of span{vec R_k}, which contains
-    range(K), that ``compare_nonzero_spectrum`` uses too (k = r, or n^2 when
-    r >= n^2): Q Q* K equals K up to round-off, checked by its residual, so
+    range(K), that ``compare_nonzero_spectrum`` uses too (k = min(r, n^2)):
+    Q Q* K equals K up to round-off, checked by its residual, so
     both have the same singular values. That costs O(r n^4), against O(n^6)
     for an SVD of K. K itself is streamed in column blocks and never
     stored, so memory is O((r + 64) n^2), not the 16 n^4 bytes of K.

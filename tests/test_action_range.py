@@ -6,13 +6,18 @@ computation they replaced: a general eig of K and an SVD of K.
 """
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ebchan import channel
 from ebchan.channel import (_pair_distance, _range_basis, compare_nonzero_spectrum,
-                            depolarizing, make_holevo_form, map_to_diagonal, natural_rep)
+                            depolarizing, factorization, make_holevo_form, map_to_diagonal,
+                            natural_rep)
+from ebchan.checks import run_channel_checks
+from ebchan.cli import analyze_form, report_inconsistencies
+from ebchan.errors import ConsistencyError
 from ebchan.linalg import DEFAULT_TOL, eig_general
 from ebchan.primitivity import holevo_rank_bounds
 from ebchan.sampling import random_channel, random_holevo_form
@@ -104,23 +109,60 @@ def test_range_is_computed_once_per_form():
     assert form._action_range is first
 
 
-def test_failed_residual_check_falls_back_to_the_exact_basis(monkeypatch):
-    # a negative bound fails every check, so the exact pair (I, K) comes back
+def test_failed_residual_check_raises(monkeypatch):
+    # a negative bound fails every check, and the pass ends in the raise
     monkeypatch.setattr(channel, "_RANGE_RESIDUAL", -1.0)
     form = random_holevo_form(np.random.default_rng(5), 6, 6)
-    q, qh_rep = _range_basis(form)
-    assert np.array_equal(q, np.eye(36))
-    assert np.array_equal(qh_rep, natural_rep(form))
+    with pytest.raises(ConsistencyError, match=r"^the channel's action leaves the span of "
+                                               r"its states: max \|K - Q Q\* K\| = \d"):
+        _range_basis(form)
 
 
-def test_full_rank_matrix_falls_back_to_the_exact_basis():
-    # n = 3, r = 9: K is 9 x 9 of full rank, and r >= n^2 takes the exact route
+def test_full_rank_matrix_takes_the_range_route():
+    # n = 3, r = 9: K is 9 x 9 of full rank, and Q is still the QR basis of the states
     form = random_holevo_form(np.random.default_rng(6), 3, 9)
     rep = natural_rep(form)
     assert np.linalg.matrix_rank(rep) == 9
     q, qh_rep = _range_basis(form)
-    assert np.array_equal(q, np.eye(9))
-    assert np.array_equal(qh_rep, rep)
+    assert np.array_equal(q, np.linalg.qr(factorization(form)[0])[0])
+    assert np.max(np.abs(q @ qh_rep - rep)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("extra", [0, 1, 3])
+def test_forms_with_r_at_least_n_squared_match_dense(n, extra):
+    # r >= n^2: Q is a square unitary, the QR basis of the n^2-dimensional state span
+    r = n * n + extra
+    rng = np.random.default_rng(10 * n + extra)
+    forms = [random_holevo_form(rng, n, r)]
+    if r >= 2:
+        forms += [duplicated_pair_form(rng, n, r - 1), shared_state_form(rng, n, r)]
+    for form in forms:
+        assert form.r == r
+        q, _ = form._action_range
+        assert q.shape == (n * n, n * n)
+        assert np.max(np.abs(q.conj().T @ q - np.eye(n * n))) <= 1e-12
+        assert_matches_dense(form)
+
+
+@pytest.mark.parametrize("n, r", [(1, 1), (1, 3), (2, 3), (2, 5), (3, 4), (3, 9)])
+def test_commands_never_build_the_natural_rep(monkeypatch, n, r):
+    def forbidden(form):
+        raise AssertionError("natural_rep called")
+
+    monkeypatch.setattr(channel, "natural_rep", forbidden)
+    form = random_holevo_form(np.random.default_rng(n * r), n, r)
+    report = analyze_form(form)
+    assert not report_inconsistencies(report)
+    assert report.holevo_rank_bounds.lower == min(r, n * n)
+    assert all(res.ok for res in run_channel_checks(form))
+
+
+def test_only_channel_names_natural_rep():
+    package = Path(channel.__file__).parent
+    naming = sorted(path.name for path in package.glob("*.py")
+                    if "natural_rep" in path.read_text())
+    assert naming == ["channel.py"]
 
 
 def test_range_basis_spans_the_states(monkeypatch):

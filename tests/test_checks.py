@@ -11,6 +11,7 @@ from ebchan.channel import (HolevoForm, depolarizing, fixed_point, iterated_form
                             make_holevo_form, map_to_diagonal, natural_rep,
                             qc_from_stochastic, stochastic_rep)
 from ebchan.checks import run_channel_checks
+from ebchan.errors import ConsistencyError
 from ebchan.linalg import DEFAULT_TOL, Tolerances, vec
 from ebchan.primitivity import channel_primitivity_index
 from ebchan.sampling import random_channel, random_holevo_form, random_qc_form, wielandt_matrix
@@ -262,15 +263,18 @@ def assert_rep_checks_fail(form, basis_width):
         assert not by_name[name].ok, by_name[name].detail
 
 
-def test_linear_extension_fails_on_a_moved_rep_entry(monkeypatch):
+def test_checks_raise_on_a_moved_rep_entry(monkeypatch):
     # n = 9 reads K in two blocks; entry [4, 7] of the second moves out of the
-    # state span, so the range pass falls back to the exact pair (I, K)
+    # state span, so the range pass fails its residual check and raises
     def move(start, block):
         if start == 64:
             block[4, 7] += 1e-6
 
     corrupt_rep_blocks(monkeypatch, move)
-    assert_rep_checks_fail(random_holevo_form(np.random.default_rng(62), 9, 3), 81)
+    form = random_holevo_form(np.random.default_rng(62), 9, 3)
+    with pytest.raises(ConsistencyError, match=r"leaves the span of its states: "
+                                               r"max \|K - Q Q\* K\| = 9\.951e-07$"):
+        run_channel_checks(form)
 
 
 def test_linear_extension_fails_on_a_scaled_rep_column(monkeypatch):

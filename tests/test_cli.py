@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import ebchan
-from ebchan import primitivity
+from ebchan import channel, primitivity
 from ebchan.channel import (compare_nonzero_spectrum, depolarizing, fixed_point,
                             make_holevo_form, map_to_diagonal, qc_from_stochastic,
                             stochastic_rep)
@@ -650,6 +650,41 @@ def test_verify_file_exits_one_on_a_channel_index_one_too_large(tmp_path, capsys
         "detail": "positivity already holds at m = 3"}]}
 
 
+@pytest.fixture
+def out_of_span_file(tmp_path, monkeypatch):
+    """A channel file whose action, as read into K, moves entry [4, 1] out of the state span."""
+    blocks = channel._rep_blocks
+
+    def moved(form):
+        for start, block in blocks(form):
+            block[4, 1] += 1e-6
+            yield start, block
+
+    monkeypatch.setattr(channel, "_rep_blocks", moved)
+    path = tmp_path / "moved.json"
+    path.write_text(emit_channel_document(random_holevo_form(np.random.default_rng(4), 3, 2)))
+    return str(path)
+
+
+def test_analyze_exits_one_when_the_action_leaves_the_state_span(out_of_span_file, capsys):
+    for fmt in ("text", "machine"):
+        assert main(["analyze", out_of_span_file, "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the channel's action leaves the span of its "
+                                       "states: max |K - Q Q* K| = ")
+        assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+
+
+def test_verify_exits_one_when_the_action_leaves_the_state_span(out_of_span_file, capsys):
+    assert main(["verify", out_of_span_file]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"{out_of_span_file} (n = 3, r = 2): FAILED exception "
+                                   "(the channel's action leaves the span of its states: ")
+    assert json.loads(captured.out[captured.out.index("{"):])["failures"][0]["check"] == "exception"
+    assert captured.err == "" and "Traceback" not in captured.out
+
+
 def test_analyze_rejects_nan_entry(tmp_path, capsys):
     doc = json.loads(emit_channel_document(depolarizing(2)))
     doc["pairs"][0]["F"][0][0] = [float("nan"), 0.0]
@@ -737,7 +772,7 @@ def test_analyze_loads_no_numpy_random_or_ma(tmp_path):
     for n, r in ((2, 4), (4, 3)):
         form = random_holevo_form(np.random.default_rng(n), n, r)
         q, _ = form._action_range
-        assert q.shape[1] == (n * n if r >= n * n else r)  # the exact, then the range route
+        assert q.shape[1] == min(r, n * n)  # both take the range route
         paths.append(tmp_path / f"n{n}.json")
         paths[-1].write_text(emit_channel_document(form))
     code = ("import sys, numpy\n"
