@@ -17,11 +17,11 @@ from .channel import (HolevoForm, apply_linear, compare_nonzero_spectrum, factor
                       fixed_point, iterated_form, stochastic_rep)
 from .linalg import ROUTE_TOL, _stationary_tol, vec
 from .primitivity import (SUBSET_CAP, _channel_index_bound, channel_primitivity_index,
-                          strictly_positive_at, sweep_positive_iterate)
+                          strictly_positive_at)
 
 CONVERGENCE_TOL = 1e-6
 
-# 2**SWEEP_CAP subset kernels per iterate limit the definition-level sweep.
+# 2**r subset kernels per iterate limit the scan of every m to r <= SWEEP_CAP.
 # Beyond it no check asserts positivity, which decayed iterated weights hide.
 SWEEP_CAP = 12
 
@@ -58,7 +58,9 @@ def run_channel_checks(form: HolevoForm, rng=None) -> list:
     three channel actions for the chains and one per iterated form. A run
     on a form whose range is cached makes 7 ``apply_linear`` calls, none on
     a matrix unit, and m more to grade the witness that m = q - 1 (or
-    r^2 - 2r + 3, if not primitive) is not positive yet.
+    r^2 - 2r + 3, if not primitive) is not positive yet. One scan asks
+    ``strictly_positive_at`` once per m, from 1 to the first positive m for
+    r <= ``SWEEP_CAP`` and only at that probe above, and keeps the witness.
 
     ``fixed_point_convergence`` squares the compression C = (Q* K) Q whose
     eigenvalues the spectrum check takes: it asks whether the iterates of one
@@ -138,35 +140,49 @@ def run_channel_checks(form: HolevoForm, rng=None) -> list:
         out.append(_result("fixed_point_convergence", dist <= CONVERGENCE_TOL,
                            f"distance {dist:.3e} after {m} iterations"))
 
-    structural = report.channel_primitive
+    # the last m without positivity: q - 1, or the index bound r^2 - 2r + 3
+    # for a channel that is not primitive; with q = 1 there is none to probe
+    bound = _channel_index_bound(r)
+    probe_m = bound if report.q_index is None else report.q_index - 1
+    # one scan asks each m at most once, past the bound if a q beyond it is reported
+    asked = (range(1, max(bound, probe_m) + 1) if r <= SWEEP_CAP
+             else [probe_m] if r <= SUBSET_CAP and probe_m >= 1 else [])
+    positive = witness = None
+    for m in asked:
+        res = strictly_positive_at(form, m)
+        if res.holds:
+            positive = m
+            break
+        if m == probe_m:
+            witness = res
+
     if r <= SWEEP_CAP:
-        swept, swept_index = sweep_positive_iterate(form)
-        agree = (structural == swept) and (report.q_index == swept_index)
-        out.append(_result("primitivity_two_routes", agree,
+        # the sweep reads the scan up to the index bound only
+        swept_index = positive if positive is not None and positive <= bound else None
+        structural, swept = report.channel_primitive, swept_index is not None
+        out.append(_result("primitivity_two_routes",
+                           structural == swept and report.q_index == swept_index,
                            f"structural: primitive={structural} q={report.q_index}; "
                            f"sweep: primitive={swept} q={swept_index}"))
     if report.q_index is not None and report.p_index is not None:
         out.append(_result("index_gap", report.bound_abs_diff_ok,
                            f"|q - p| = |{report.q_index} - {report.p_index}|"))
 
-    # the last m without positivity: q - 1, or the index bound r^2 - 2r + 3
-    # for a channel that is not primitive; with q = 1 there is none to probe
-    probe_m = _channel_index_bound(r) if report.q_index is None else report.q_index - 1
     if r <= SUBSET_CAP and probe_m >= 1:
-        res = strictly_positive_at(form, probe_m)
-        if res.holds:
+        if witness is None:
+            # the scan reached positivity by m = probe_m, and positivity persists
             out.append(_result("witness_soundness", False,
                                f"positivity already holds at m = {probe_m}"))
         else:
-            image = np.outer(res.state, res.state.conj())
+            image = np.outer(witness.state, witness.state.conj())
             for _ in range(probe_m):
                 image = apply_linear(form, image)
-            leak = abs(res.direction.conj() @ image @ res.direction)
+            leak = abs(witness.direction.conj() @ image @ witness.direction)
             # the kernel cuts leave <phi|R_T|phi> below zero_eig_tol * max(1,
             # lambda_max(R_T)) and psi's value on the other iterated effects,
             # which sum to at most I, below zero_eig_tol; each other factor
             # of a term is at most 1
-            states_max = np.linalg.eigvalsh(form.states[list(res.subset)].sum(axis=0))[-1]
+            states_max = np.linalg.eigvalsh(form.states[list(witness.subset)].sum(axis=0))[-1]
             cut = form.tol.zero_eig_tol * (max(1.0, states_max) + 1.0)
             out.append(_result("witness_soundness", leak <= cut,
                                f"claimed-zero matrix element = {leak:.3e} at m = {probe_m}"))

@@ -8,9 +8,9 @@ positive iff the pair indices split into a set T whose states share a
 kernel vector and a complement whose iterated effects
 G_k^(m) = sum_j (S^{m-1})_{kj} F_j share one; for PSD operators the kernel
 of a sum is the intersection of the kernels. Two routes decide this and
-share no scan. ``strictly_positive_at`` (per m, and through it
-``sweep_positive_iterate``) is the definition-level one: it scans the splits
-on ``iterated_form(form, m)``. ``channel_primitivity_index`` builds no
+share no scan. ``strictly_positive_at``, asked per m (``run_channel_checks``
+scans m with it), is the definition-level one: it scans the splits on
+``iterated_form(form, m)``. ``channel_primitivity_index`` builds no
 iterated form: the weights of G_k^(m) are nonnegative, so the effects over
 U share the kernel of the original effects over the j that the pattern of
 S^{m-1}, the pattern that decides p, reaches from U.
@@ -39,8 +39,7 @@ from __future__ import annotations
 __all__ = [
     "SUBSET_CAP", "ChannelPrimitivityReport", "HolevoRankBounds",
     "StrictPositivityResult", "channel_primitivity_index",
-    "holevo_rank_bounds", "strictly_positive_at",
-    "sum_R_positive_definite", "sweep_positive_iterate",
+    "holevo_rank_bounds", "strictly_positive_at", "sum_R_positive_definite",
 ]
 
 from dataclasses import dataclass
@@ -356,19 +355,3 @@ def holevo_rank_bounds(form: HolevoForm) -> HolevoRankBounds:
     return HolevoRankBounds(lower=lower, upper=form.r,
                             q_upper_from_rank=_channel_index_bound(form.r))
 
-
-def sweep_positive_iterate(form: HolevoForm):
-    """Definition-level primitivity oracle: scan m = 1 .. r^2 - 2r + 3.
-
-    Returns (primitive, least m) by testing strict positivity directly at
-    every m up to the index bound, independent of the stochastic-matrix
-    decision path. Every m goes through the public ``strictly_positive_at``,
-    which builds that m's iterated-effect table and solves the state masks
-    its candidate splits need afresh, so this route shares no table with
-    ``channel_primitivity_index``. Intended for cross-checking, not routine
-    use.
-    """
-    for m in range(1, _channel_index_bound(form.r) + 1):
-        if strictly_positive_at(form, m).holds:
-            return True, m
-    return False, None

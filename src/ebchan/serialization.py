@@ -48,25 +48,15 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _inline_list(lst) -> bool:
-    # keep [re, im] pairs and numeric rows on one line; whole-list type passes
-    if _numbers_only(lst):
-        return True
-    return set(map(type, lst)) == {list} and _numbers_only(chain.from_iterable(lst))
-
-
 def _render_json(obj, indent: int = 0) -> str:
     pad = "  " * indent
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
         items = [f'{pad}  {json.dumps(k)}: {_render_json(v, indent + 1)}'
                  for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, list):
-        if not obj:
-            return "[]"
-        if _inline_list(obj):
+        # a row of [re, im] pairs stays on one line; whole-list type passes
+        if set(map(type, obj)) == {list} and _numbers_only(chain.from_iterable(obj)):
             return json.dumps(obj)
         items = [f"{pad}  {_render_json(x, indent + 1)}" for x in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"

@@ -6,6 +6,18 @@ import pytest
 from ebchan import primitivity
 
 
+def least_positive_m(form):
+    """Definition-level oracle: the least m <= r^2 - 2r + 3 whose iterate is positive, or None.
+
+    One linear scan of ``strictly_positive_at``, which shares no table with
+    ``channel_primitivity_index``.
+    """
+    for m in range(1, form.r * form.r - 2 * form.r + 4):
+        if primitivity.strictly_positive_at(form, m).holds:
+            return m
+    return None
+
+
 def pytest_configure(config):
     config._acceptance_lines = []
 

@@ -7,6 +7,7 @@ guarantee is stated with.
 
 import numpy as np
 import pytest
+from conftest import least_positive_m
 
 from ebchan.channel import (apply_linear, depolarizing, factorization,
                             holevo_from_rank_one_kraus, make_holevo_form,
@@ -14,8 +15,7 @@ from ebchan.channel import (apply_linear, depolarizing, factorization,
                             compare_nonzero_spectrum, fixed_point,
                             stochastic_rep)
 from ebchan.linalg import vec
-from ebchan.primitivity import (channel_primitivity_index, strictly_positive_at,
-                                sweep_positive_iterate)
+from ebchan.primitivity import channel_primitivity_index, strictly_positive_at
 from ebchan.sampling import (random_channel, random_density,
                              random_stochastic)
 from ebchan.stochastic import primitivity_index
@@ -150,7 +150,8 @@ def test_structural_verdict_matches_definition_sweep(acceptance, suite_100):
     for i, form in enumerate(suite_100):
         report = channel_primitivity_index(form)
         structural = report.channel_primitive
-        swept, swept_index = sweep_positive_iterate(form)
+        swept_index = least_positive_m(form)
+        swept = swept_index is not None
         if structural != swept:
             failures.append(f"channel {i} (n={form.n}, r={form.r}): "
                             f"structural {structural} vs sweep {swept}")

@@ -59,6 +59,13 @@ def test_make_holevo_form_rejects_shape_mismatch():
         make_holevo_form(2, [(np.eye(3), np.eye(3) / 3)])
 
 
+def test_make_holevo_form_rejects_no_dimension_and_no_pairs():
+    with pytest.raises(ValidationError, match="^system dimension must be positive, got 0$"):
+        make_holevo_form(0, [(IDENT, E00)])
+    with pytest.raises(ValidationError, match=r"^a channel needs at least one \(F, R\) pair$"):
+        make_holevo_form(2, [])
+
+
 def test_form_matrices_read_only():
     form = example_one()
     with pytest.raises(ValueError):
@@ -499,3 +506,10 @@ def test_kraus_rejects_non_trace_preserving():
     ops = [np.array([[0.9, 0], [0, 0]]), np.array([[0, 0], [0, 1.0]])]
     with pytest.raises(ValidationError, match=r"^sum_k V_k\* V_k differs from I by "):
         holevo_from_rank_one_kraus(ops)
+
+
+def test_kraus_rejects_no_operators_and_mixed_sizes():
+    with pytest.raises(ValidationError, match="^need at least one operator$"):
+        holevo_from_rank_one_kraus([])
+    with pytest.raises(ValidationError, match=r"^V\[1\] must be 2x2, got \(3, 3\)$"):
+        holevo_from_rank_one_kraus([np.diag([1.0, 0.0]), np.zeros((3, 3))])

@@ -123,6 +123,64 @@ def test_wrong_reports_fail_above_the_sweep_cap(monkeypatch, claim, detail):
     assert bad == [("witness_soundness", detail)]
 
 
+def test_checks_ask_each_m_once(monkeypatch):
+    # one scan asks the definition route: m = 1 up to the first positive m,
+    # or up to r^2 - 2r + 3 when the channel is not primitive, for r <=
+    # SWEEP_CAP, and then grades the witness it kept at m = q - 1 without
+    # asking again; above SWEEP_CAP only m = q - 1 is asked
+    calls = count_calls(monkeypatch, primitivity, "strictly_positive_at", checks)
+    forms = [make_holevo_form(2, [(PLUS, E00), (MINUS, E11)]), map_to_diagonal(3),
+             qc_from_stochastic(wielandt_matrix(6)), random_qc_form(np.random.default_rng(7), 5),
+             random_qc_form(np.random.default_rng(8), 4),
+             random_channel(np.random.default_rng(50), 3, 4)]
+    for form in forms:
+        q = channel_primitivity_index(form).q_index
+        del calls[:]
+        assert all(res.ok for res in run_channel_checks(form))
+        last = form.r * form.r - 2 * form.r + 3 if q is None else q
+        assert [m for _, m in calls] == list(range(1, last + 1))
+    del calls[:]
+    assert all(res.ok for res in run_channel_checks(sparse_qc_form_on_thirteen_pairs()))
+    assert [m for _, m in calls] == [2]  # q = 3
+    del calls[:]
+    assert all(res.ok for res in run_channel_checks(depolarizing(3)))
+    assert [m for _, m in calls] == [1]  # q = 1: positive at once, no witness to probe
+
+
+@pytest.mark.parametrize("make", [lambda: make_holevo_form(2, [(PLUS, E00), (MINUS, E11)]),
+                                  lambda: qc_from_stochastic(wielandt_matrix(6)),
+                                  lambda: random_qc_form(np.random.default_rng(8), 4)],
+                         ids=["flip-q2", "wielandt-6-q26", "qc-4-q4"])
+@pytest.mark.parametrize("claim, failing", [
+    (lambda q: dict(q_index=q + 1), ["primitivity_two_routes", "witness_soundness"]),
+    (lambda q: dict(q_index=q - 1), ["primitivity_two_routes"]),
+    (lambda q: dict(channel_primitive=False, q_index=None),
+     ["primitivity_two_routes", "witness_soundness"]),
+], ids=["q+1", "q-1", "not-primitive"])
+def test_wrong_reports_fail_within_the_sweep_cap(monkeypatch, make, claim, failing):
+    # the scan's first positive m disagrees with every wrong q; a q too large
+    # or a false "not primitive" leaves positivity already reached at the
+    # probe, and a q one too small leaves a sound witness at q - 2
+    form = make()
+    true = channel_primitivity_index(form)
+    report = replace(true, **claim(true.q_index))
+    monkeypatch.setattr(checks, "channel_primitivity_index", lambda form: report)
+    assert [res.name for res in run_channel_checks(form) if not res.ok] == failing
+
+
+@pytest.mark.parametrize("make", [lambda: map_to_diagonal(3),
+                                  lambda: random_qc_form(np.random.default_rng(7), 5)],
+                         ids=["diag-3", "qc-5"])
+def test_primitive_claim_on_a_non_primitive_form_fails_the_two_routes(monkeypatch, make):
+    # the scan finds no positive m up to the bound; the witness at the claimed
+    # q - 1 is sound, so only the comparison of the routes fails
+    form = make()
+    report = replace(channel_primitivity_index(form), channel_primitive=True, q_index=2)
+    monkeypatch.setattr(checks, "channel_primitivity_index", lambda form: report)
+    assert [res.name for res in run_channel_checks(form) if not res.ok] == [
+        "primitivity_two_routes"]
+
+
 @pytest.mark.parametrize("r, eps", [(13, 1e-2), (13, 1e-3), (14, 0.1)])
 def test_decayed_wielandt_forms_pass_above_the_sweep_cap(r, eps):
     # chord weights (eps, 1 - eps): S^(q-1) has entries far below the kernel
@@ -384,7 +442,7 @@ def test_no_analysis_of_a_form_takes_tolerances():
             on_forms.append(fn.__name__)
             assert "tol" not in [p.name for p in params], fn.__name__
     assert {"stochastic_rep", "iterated_form", "run_channel_checks",
-            "analyze_form", "sweep_positive_iterate"} <= set(on_forms)
+            "analyze_form"} <= set(on_forms)
     loose = Tolerances(psd_tol=1e-6)
     form = make_holevo_form(2, [(PLUS, E00), (MINUS, E11)], loose)
     assert form.tol is loose

@@ -389,6 +389,34 @@ def test_verify_rejects_a_negative_seed(capsys):
     assert "argument --seed: must be a nonnegative integer, got '-1'" in captured.err
 
 
+@pytest.mark.parametrize("command, text, message", [
+    (["build", "qc", "--stochastic"], '{"r": 2, "entries": [[NaN, 0.5], [0.5, 0.5]]}',
+     "error: not a column-stochastic matrix: matrix contains NaN or infinite entries\n"),
+    (["iterate", "CHANNEL", "--steps", "1", "--state"], "[1, 2]",
+     "error: state file must be a JSON object\n"),
+    (["build", "from-kraus", "--kraus"], "[1, 2]", "error: Kraus file must be a JSON object\n"),
+], ids=["qc-nan", "iterate-state-array", "kraus-array"])
+def test_bad_auxiliary_files_exit_two(example_one_file, tmp_path, capsys, command, text,
+                                      message):
+    path = tmp_path / "aux.json"
+    path.write_text(text)
+    argv = [example_one_file if arg == "CHANNEL" else arg for arg in command] + [str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message
+    assert "Traceback" not in captured.err
+
+
+def test_verify_rejects_a_non_integer_seed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--random", "2", "--seed", "abc"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --seed: must be a nonnegative integer, got 'abc'" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_verify_rejects_a_file_with_random(example_one_file, capsys):
     assert main(["verify", example_one_file, "--random", "3"]) == 2
     captured = capsys.readouterr()

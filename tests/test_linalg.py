@@ -64,6 +64,8 @@ def test_as_square_rejects_nan_and_shape():
         as_square([[np.nan, 0], [0, 1]])
     with pytest.raises(ValidationError, match="^matrix must be 2-D, got ndim=1$"):
         as_square([1, 2, 3])
+    with pytest.raises(ValidationError, match=r"^matrix must be nonempty, got shape \(2, 0\)$"):
+        as_square(np.zeros((2, 0)))
 
 
 def test_eig_hermitian_identity():

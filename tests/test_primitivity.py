@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import least_positive_m
 
 from ebchan.channel import (apply_linear, depolarizing, iterated_form, make_holevo_form,
                             map_to_diagonal, qc_from_stochastic, stochastic_rep)
@@ -8,7 +9,7 @@ from ebchan.errors import ValidationError
 from ebchan.linalg import DEFAULT_TOL, _zero_cut, kernel_psd
 from ebchan.primitivity import (SUBSET_CAP, channel_primitivity_index,
                                 holevo_rank_bounds, strictly_positive_at,
-                                sum_R_positive_definite, sweep_positive_iterate)
+                                sum_R_positive_definite)
 from ebchan.sampling import (random_channel, random_holevo_form, random_qc_form,
                              wielandt_matrix)
 from ebchan.stochastic import wielandt_bound
@@ -172,7 +173,7 @@ def test_window_matches_full_search():
         if not windowed.channel_primitive:
             continue
         tested += 1
-        assert sweep_positive_iterate(form)[1] == windowed.q_index
+        assert least_positive_m(form) == windowed.q_index
     assert tested >= 9
 
 
@@ -208,7 +209,7 @@ def test_search_matches_the_sweep_on_non_diagonal_forms():
     for _ in range(200):
         form = non_diagonal_form(rng)
         report = channel_primitivity_index(form)
-        assert sweep_positive_iterate(form) == (report.channel_primitive, report.q_index)
+        assert least_positive_m(form) == report.q_index
         if report.channel_primitive:
             gaps.add(report.q_index - report.p_index)
     assert gaps == {-1, 0, 1}
@@ -308,8 +309,8 @@ def test_structural_decision_matches_definition_sweep():
     for _ in range(15):
         form = random_channel(rng, int(rng.integers(2, 4)), int(rng.integers(1, 5)))
         report = channel_primitivity_index(form)
-        swept, swept_index = sweep_positive_iterate(form)
-        assert report.channel_primitive == swept
+        swept_index = least_positive_m(form)
+        assert report.channel_primitive == (swept_index is not None)
         assert report.q_index == swept_index
 
 
@@ -547,7 +548,7 @@ def test_strictly_positive_at_never_builds_the_state_table(monkeypatch):
     for form in forms:
         for m in (1, 2, 3):
             strictly_positive_at(form, m)
-        sweep_positive_iterate(form)
+        least_positive_m(form)
     assert (True, False) in calls and (False, True) in calls
     # state tables are solved at the asked masks only, iterated-effect tables in full
     assert all(is_states != full for is_states, full in calls)
@@ -588,7 +589,7 @@ def test_sweep_solve_counts_on_wielandt_qc_forms(r, matrices, calls, kernel_batc
     # each batch holds the children of pending parents, at most 2r - 1; the
     # iterates of a qc form are diagonal, so no batch goes to eigvalsh
     form = qc_from_stochastic(wielandt_matrix(r))
-    assert sweep_positive_iterate(form) == (True, r * r - 2 * r + 2)
+    assert least_positive_m(form) == r * r - 2 * r + 2
     assert (kernel_batches.sums, kernel_batches.calls) == (matrices, calls)
     assert kernel_batches.largest <= 2 * r - 1
     assert kernel_batches.eigvalsh == 0
@@ -600,7 +601,7 @@ def test_gaussian_forms_solve_each_batch_with_one_eigvalsh(kernel_batches):
     form = random_holevo_form(np.random.default_rng(42), 3, 6, state_ranks=[1] * 6)
     kernel_batches.reset()
     channel_primitivity_index(form)
-    sweep_positive_iterate(form)
+    least_positive_m(form)
     assert kernel_batches.calls > 0
     assert kernel_batches.eigvalsh == kernel_batches.calls
 
@@ -610,7 +611,7 @@ def test_sweep_reaches_the_wielandt_index_on_wielandt_qc_forms(r):
     # q = p = r^2 - 2r + 2; one step short, the states of pairs 1..r-1 share a kernel
     form = qc_from_stochastic(wielandt_matrix(r))
     q = r * r - 2 * r + 2
-    assert sweep_positive_iterate(form) == (True, q)
+    assert least_positive_m(form) == q
     assert strictly_positive_at(form, q - 1).subset == tuple(range(1, r))
 
 

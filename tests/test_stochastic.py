@@ -32,6 +32,12 @@ def test_make_stochastic_accepts_examples():
     np.testing.assert_array_equal(make_stochastic(THREE), THREE)
 
 
+def test_make_stochastic_rejects_a_non_square_matrix():
+    with pytest.raises(ValidationError,
+                       match=r"^expected a nonempty square matrix, got shape \(2, 3\)$"):
+        make_stochastic(np.full((2, 3), 0.5))
+
+
 def test_make_stochastic_column_sum_violation():
     with pytest.raises(ValidationError, match=r"^column 0 sums to .*, off by 1\.000e-01$"):
         make_stochastic([[1.0, 0.0], [0.1, 1.0]])
